@@ -2,7 +2,7 @@
 //! evaluation section (§4).
 //!
 //! ```text
-//! experiments [table1|table2|fig11|fig13|fig14|examples|throughput|durability|spill|txn|vacuum|batch|all]
+//! experiments [table1|table2|fig11|fig13|fig14|examples|throughput|durability|spill|txn|vacuum|all]
 //!             [--full] [--scales 1,2,4,8] [--reps 5] [--threads 1,2,4,8]
 //!             [--budget BYTES]
 //! experiments trajectory [--quick] [--out PATH]
@@ -10,12 +10,10 @@
 //! experiments serve [--clients 4] [--secs 2]
 //! ```
 //!
-//! `trajectory` runs the pinned perf-trajectory set (fig11/fig13 queries
-//! under both executors, loads, throughput mix) and writes
-//! `BENCH_PR10.json`; `compare` diffs two BENCH files on deterministic
-//! counters and exits non-zero on a >15 % regression. See
-//! `xorator_bench::trajectory`. `batch` prints the Volcano-vs-vectorized
-//! side-by-side table.
+//! `trajectory` runs the pinned perf-trajectory set (fig11/fig13 queries,
+//! loads, throughput mix) and writes `BENCH_PR10.json`; `compare` diffs
+//! two BENCH files on deterministic counters and exits non-zero on a
+//! >15 % regression. See `xorator_bench::trajectory`.
 //!
 //! * `--full`  — use the paper-sized corpora (37 plays ≈ 7.5 MB,
 //!   3000 proceedings ≈ 12 MB); default is a reduced corpus that keeps
@@ -179,9 +177,6 @@ fn main() {
     }
     if run("vacuum") {
         vacuum_figure(&args, &mut mlog);
-    }
-    if run("batch") {
-        batch_figure(&args, &mut mlog);
     }
     if let Some(path) = mlog.write().expect("write metrics.json") {
         println!("\n(per-query metrics written to {})", path.display());
@@ -642,71 +637,12 @@ fn spill_figure(args: &Args, mlog: &mut MetricsLog) {
     );
 }
 
-/// Volcano vs vectorized execution on the Shakespeare query set: every
-/// query runs under both executors against the same Hybrid-mapped
-/// corpus, rows are asserted identical, and the table puts the batch
-/// path's buffer-pool traffic and batch shape next to the row path's.
-fn batch_figure(args: &Args, mlog: &mut MetricsLog) {
-    let scale = if args.full { 4 } else { 2 };
-    let docs = replicate(&shakespeare_docs(args), scale);
-    let queries = shakespeare_queries();
-    let wl = workload_sql(&queries);
-    let simple = simplify(&parse_dtd(xorator::dtds::SHAKESPEARE_DTD).unwrap());
-    let dir = scratch_dir("batch");
-    let loaded = setup(&dir, map_hybrid(&simple), &docs, FormatPolicy::Auto, &wl).expect("load");
-    let db = &loaded.db;
-    let forced = ordb::PlanForcing {
-        access: Some(ordb::ForcedAccess::SeqScan),
-        executor: ordb::Executor::Batch,
-        ..ordb::PlanForcing::default()
-    };
-    println!("\n## Batch — vectorized vs Volcano execution at DSx{scale} (hybrid mapping)\n");
-    println!("| query | rows | volcano | batch | fetches v→b | batches | rows/batch |");
-    println!("|---|---|---|---|---|---|---|");
-    for q in &queries {
-        db.drop_cache().expect("drop cache");
-        let v = db.explain_analyze(q.hybrid).expect("volcano run");
-        db.set_forcing(forced);
-        db.drop_cache().expect("drop cache");
-        let b = db.explain_analyze(q.hybrid).expect("batch run");
-        db.set_forcing(ordb::PlanForcing::default());
-        assert_eq!(v.result.rows, b.result.rows, "{}: batch executor diverged from Volcano", q.id);
-        let batches = b.metrics.engine.batches;
-        println!(
-            "| {} | {} | {:.2} ms | {:.2} ms | {}→{} | {} | {:.1} |",
-            q.id,
-            v.result.len(),
-            ms(v.metrics.exec),
-            ms(b.metrics.exec),
-            v.metrics.pool.fetches(),
-            b.metrics.pool.fetches(),
-            batches,
-            b.metrics.engine.batch_rows as f64 / batches.max(1) as f64,
-        );
-        mlog.push_raw(format!(
-            "{{\"figure\":\"batch\",\"scale\":{scale},\"query\":\"{}\",\"rows\":{},\
-             \"volcano\":{},\"batch\":{}}}",
-            q.id,
-            v.result.len(),
-            v.metrics.to_json(),
-            b.metrics.to_json(),
-        ));
-    }
-    println!(
-        "\n(Rows are asserted identical between executors; the batch column's forcing is \
-         exactly `SET force_executor = batch` plus a sequential-scan access path.)"
-    );
-}
-
 /// The perf-trajectory run (ROADMAP item 3): fig11 + fig13 queries and
 /// loads plus a throughput mix, under a configuration pinned hard enough
 /// that the counter columns are bit-identical run to run. Writes
-/// `BENCH_PR10.json` (or `--out`). Every query is measured twice — once
-/// per executor — with the vectorized run under its own `/batch` id, so
-/// the Volcano ids stay comparable against earlier baselines while the
-/// batch path gets its own gated trajectory. `--quick` runs the DSx1
-/// subset for CI; its entry ids are a subset of the full file's, so the
-/// comparator still gates on the intersection.
+/// `BENCH_PR10.json` (or `--out`). `--quick` runs the DSx1 subset for CI;
+/// its entry ids are a subset of the full file's, so the comparator still
+/// gates on the intersection.
 fn trajectory_command(args: &Args) {
     use xorator_bench::trajectory::{BenchEntry, BenchFile, SCHEMA_VERSION};
     let scales: &[usize] = if args.quick { &[1] } else { &[1, 2] };
@@ -815,49 +751,6 @@ fn trajectory_figure(
                     q.id,
                     t.rows,
                     m.pool.fetches()
-                );
-                // The same query under the vectorized executor, as its
-                // own `/batch`-suffixed id: the Volcano ids above stay
-                // comparable against pre-batch baselines, while these
-                // entries pin the batch path's trajectory (its batch
-                // shape and the page-at-a-time scan's pool traffic).
-                db.set_forcing(ordb::PlanForcing {
-                    executor: ordb::Executor::Batch,
-                    ..ordb::PlanForcing::default()
-                });
-                let bt = time_query_opts(db, sql, reps, true).expect("trajectory batch query");
-                db.set_forcing(ordb::PlanForcing::default());
-                assert_eq!(bt.rows, t.rows, "{}: batch executor diverged from Volcano", q.id);
-                let bm = bt.metrics.as_ref().expect("instrumented batch run");
-                let mut counters = std::collections::BTreeMap::new();
-                counters.insert("pool_fetches".to_string(), bm.pool.fetches());
-                counters.insert("pool_misses".to_string(), bm.pool.misses);
-                counters.insert("wal_bytes".to_string(), bm.wal.bytes);
-                counters.insert("index_probes".to_string(), bm.engine.index_probes);
-                counters.insert("sort_rows".to_string(), bm.engine.sort_rows);
-                counters.insert("sort_spills".to_string(), bm.engine.sort_spills);
-                counters.insert("spill_bytes".to_string(), bm.engine.spill_bytes);
-                counters.insert("join_partitions".to_string(), bm.engine.join_partitions);
-                counters.insert("agg_spills".to_string(), bm.engine.agg_spills);
-                counters.insert("unnest_calls".to_string(), bm.engine.unnest_calls);
-                counters.insert("batches".to_string(), bm.engine.batches);
-                counters.insert("batch_rows".to_string(), bm.engine.batch_rows);
-                let mut gauges = std::collections::BTreeMap::new();
-                gauges.insert("mean_ns".to_string(), bt.mean.as_nanos() as f64);
-                entries.push(BenchEntry {
-                    id: format!("{tag}/x{scale}/{}/{variant}/batch", q.id),
-                    kind: "query".to_string(),
-                    rows: bt.rows as u64,
-                    counters,
-                    gauges,
-                });
-                eprintln!(
-                    "  [trajectory {tag} DSx{scale}] {} {variant}/batch: {} rows, \
-                     {} fetches, {} batches",
-                    q.id,
-                    bt.rows,
-                    bm.pool.fetches(),
-                    bm.engine.batches
                 );
             }
         }

@@ -5,10 +5,11 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+use ordb::TempDir;
+
 #[test]
 fn scripted_session_over_stdin() {
-    let dir = std::env::temp_dir().join(format!("xorshell-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("xorshell-smoke").unwrap();
 
     let script = "\
 CREATE TABLE kv (k INTEGER, v VARCHAR)
@@ -24,7 +25,7 @@ SELECT k, v FROM kv
 ";
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_xorshell"))
-        .arg(&dir)
+        .arg(dir.path())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -32,7 +33,7 @@ SELECT k, v FROM kv
         .expect("spawn xorshell");
     child.stdin.take().expect("stdin piped").write_all(script.as_bytes()).expect("write script");
     let out = child.wait_with_output().expect("xorshell exits");
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);

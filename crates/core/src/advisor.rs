@@ -141,6 +141,7 @@ mod tests {
     use crate::dtds::PLAYS_DTD;
     use crate::hybrid::map_hybrid;
     use crate::simplify::simplify;
+    use ordb::TempDir;
     use xmlkit::dtd::parse_dtd;
 
     fn mapping() -> Mapping {
@@ -184,8 +185,7 @@ mod tests {
 
     #[test]
     fn apply_deduplicates() {
-        let dir = std::env::temp_dir().join(format!("xorator-advise-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("xorator-advise").unwrap();
         let db = Database::open(&dir).unwrap();
         let m = mapping();
         m.create_schema(&db).unwrap();

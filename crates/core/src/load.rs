@@ -284,6 +284,7 @@ mod tests {
     use crate::hybrid::map_hybrid;
     use crate::simplify::simplify;
     use crate::xorator::map_xorator;
+    use ordb::TempDir;
     use xmlkit::dtd::parse_dtd;
 
     fn docs() -> Vec<String> {
@@ -300,10 +301,8 @@ mod tests {
             .collect()
     }
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("xorator-load-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tmp(tag: &str) -> TempDir {
+        TempDir::new(&format!("xorator-load-{tag}")).unwrap()
     }
 
     #[test]
@@ -311,12 +310,13 @@ mod tests {
         let dtd = simplify(&parse_dtd(PLAYS_DTD).unwrap());
         let docs = docs();
 
-        let hdb = Database::open(tmp("h")).unwrap();
+        let (hdir, xdir) = (tmp("h"), tmp("x"));
+        let hdb = Database::open(&hdir).unwrap();
         let hmap = map_hybrid(&dtd);
         let hrep = load_corpus(&hdb, &hmap, &docs, LoadOptions::default()).unwrap();
         assert_eq!(hrep.documents, 4);
 
-        let xdb = Database::open(tmp("x")).unwrap();
+        let xdb = Database::open(&xdir).unwrap();
         let xmap = map_xorator(&dtd);
         let xrep = load_corpus(&xdb, &xmap, &docs, LoadOptions::default()).unwrap();
 
@@ -359,9 +359,11 @@ mod tests {
             })
             .collect();
         for mapping in [crate::hybrid::map_hybrid(&dtd), crate::xorator::map_xorator(&dtd)] {
-            let serial_db = Database::open(tmp(&format!("ser-{}", mapping.algorithm))).unwrap();
+            let serial_dir = tmp(&format!("ser-{}", mapping.algorithm));
+            let par_dir = tmp(&format!("par-{}", mapping.algorithm));
+            let serial_db = Database::open(&serial_dir).unwrap();
             let serial = load_corpus(&serial_db, &mapping, &docs, LoadOptions::default()).unwrap();
-            let par_db = Database::open(tmp(&format!("par-{}", mapping.algorithm))).unwrap();
+            let par_db = Database::open(&par_dir).unwrap();
             let parallel =
                 load_corpus_parallel(&par_db, &mapping, &docs, LoadOptions::default(), 4).unwrap();
             assert_eq!(serial.tuples, parallel.tuples);
@@ -384,7 +386,8 @@ mod tests {
     fn forced_compressed_policy_round_trips() {
         let dtd = simplify(&parse_dtd(PLAYS_DTD).unwrap());
         let xmap = map_xorator(&dtd);
-        let db = Database::open(tmp("c")).unwrap();
+        let dir = tmp("c");
+        let db = Database::open(&dir).unwrap();
         let rep = load_corpus(
             &db,
             &xmap,

@@ -273,6 +273,7 @@ mod tests {
     use crate::load::{load_corpus, LoadOptions};
     use crate::simplify::simplify;
     use crate::xorator::map_xorator;
+    use ordb::TempDir;
     use xmlkit::dtd::parse_dtd;
 
     const DOC: &str = "<PLAY><INDUCT><TITLE>Induction</TITLE><SUBTITLE>s1</SUBTITLE>\
@@ -289,9 +290,7 @@ mod tests {
             crate::schema::Algorithm::Hybrid => map_hybrid(&simple),
             crate::schema::Algorithm::Xorator => map_xorator(&simple),
         };
-        let dir =
-            std::env::temp_dir().join(format!("xorator-reconstruct-{alg}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("xorator-reconstruct-{alg}")).unwrap();
         let db = Database::open(&dir).unwrap();
         let docs = vec![DOC.to_string(), DOC.replace("hello", "goodbye")];
         load_corpus(&db, &mapping, &docs, LoadOptions::default()).unwrap();

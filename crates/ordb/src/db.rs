@@ -26,7 +26,6 @@ use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapCursor, HeapFile};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
-use crate::trace::{TraceEvent, TraceSink};
 use crate::tuple::{encode_row, encoded_len};
 use crate::txn::{TxnId, TxnManager, TxnStats, UndoRecord};
 use crate::types::{DataType, Row, Value};
@@ -100,7 +99,6 @@ pub struct Database {
     pool: Arc<BufferPool>,
     inner: RwLock<DbInner>,
     functions: crate::functions::FunctionRegistry,
-    trace: RwLock<Option<Arc<dyn TraceSink>>>,
     /// What the open-time redo pass did (None: no WAL existed).
     recovery: Option<RecoveryReport>,
     /// Memory budget + temp-file manager handed to blocking operators.
@@ -124,6 +122,8 @@ pub struct Database {
     auto_vacuum: bool,
     /// Set by `close`/`abandon`; makes `Drop` a no-op.
     closed: AtomicBool,
+    /// The directory's exclusive lock, released when the handle drops.
+    _lock: std::fs::File,
 }
 
 // A `Database` is shared across client threads by reference (see the
@@ -218,12 +218,18 @@ impl Database {
 
     /// Open (or create) with explicit options.
     ///
+    /// One handle at a time owns a directory: the handle holds an
+    /// exclusive lock on its `LOCK` file until it is dropped, and a
+    /// second open fails with an [`std::io::ErrorKind::WouldBlock`] I/O
+    /// error instead of sharing the files.
+    ///
     /// When a `wal.log` exists, the redo pass runs *first* — before any
     /// file is registered with the pool — so torn or lost data-page
     /// writes from a crash are repaired before anything reads them.
     pub fn open_with(dir: impl AsRef<Path>, opts: DbOptions) -> Result<Database> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let lock = lock_dir(&dir)?;
         let recovery = crate::recovery::recover(&dir)?;
         let catalog = Catalog::load(&dir)?;
         // Undo pass: with a WAL present, redo has restored the pages the
@@ -318,7 +324,6 @@ impl Database {
             pool,
             inner: RwLock::new(DbInner { catalog, heaps, indexes, stats: HashMap::new() }),
             functions: crate::functions::FunctionRegistry::with_builtins(),
-            trace: RwLock::new(None),
             recovery,
             spill,
             forcing: RwLock::new(opts.forcing),
@@ -328,6 +333,7 @@ impl Database {
             reclaim_hint: AtomicU64::new(0),
             auto_vacuum: opts.auto_vacuum,
             closed: AtomicBool::new(false),
+            _lock: lock,
         })
     }
 
@@ -340,28 +346,6 @@ impl Database {
     /// The currently active plan-space forcing knobs.
     pub fn forcing(&self) -> PlanForcing {
         *self.forcing.read()
-    }
-
-    /// Install (or clear, with `None`) the query-lifecycle trace sink.
-    /// Events are emitted only when the `trace` cargo feature is on (the
-    /// default); without it the emission sites compile away and an
-    /// installed sink receives nothing.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        *self.trace.write() = sink;
-    }
-
-    /// Emit a lifecycle event; the payload closure runs only when a sink
-    /// is installed (and only when the `trace` feature is compiled in).
-    fn emit(&self, make: impl FnOnce() -> TraceEvent) {
-        #[cfg(feature = "trace")]
-        {
-            let sink = self.trace.read().clone();
-            if let Some(sink) = sink {
-                sink.event(&make());
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = make;
     }
 
     /// The function registry (to register custom functions).
@@ -545,13 +529,9 @@ impl Database {
         };
         let wall = Instant::now();
         let _query_span = crate::trace::span("query");
-        self.emit(|| TraceEvent::QueryStart { sql: sql.to_string() });
-        let t = Instant::now();
         let parse_span = crate::trace::span("parse");
         let stmt = parse_statement(sql)?;
         drop(parse_span);
-        let parse_time = t.elapsed();
-        self.emit(|| TraceEvent::Parsed { elapsed: parse_time });
         match stmt {
             Statement::Explain(inner) => match *inner {
                 Statement::Select(q) => {
@@ -592,15 +572,9 @@ impl Database {
                 // default path does a single atomic load).
                 let spans_on = crate::trace::spans_enabled();
                 let mut prof = if spans_on { Profiler::enabled() } else { Profiler::disabled() };
-                let t = Instant::now();
                 let plan_span = crate::trace::span("plan");
                 let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
                 drop(plan_span);
-                let plan_time = t.elapsed();
-                self.emit(|| TraceEvent::Planned {
-                    elapsed: plan_time,
-                    explain: plan.explain.clone(),
-                });
                 let exec_span = crate::trace::span("exec");
                 let exec_id = exec_span.id();
                 let rows = collect(plan.root)?;
@@ -611,10 +585,6 @@ impl Database {
                     }
                 }
                 self.registry.record_query(wall.elapsed());
-                self.emit(|| TraceEvent::QueryEnd {
-                    rows: rows.len() as u64,
-                    wall: wall.elapsed(),
-                });
                 Ok(QueryResult { columns: plan.columns, rows })
             }
             other => Err(DbError::Plan(format!("query() expects SELECT, got {other:?}"))),
@@ -632,13 +602,11 @@ impl Database {
     pub fn explain_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
         let wall = Instant::now();
         let _query_span = crate::trace::span("query");
-        self.emit(|| TraceEvent::QueryStart { sql: sql.to_string() });
         let t = Instant::now();
         let parse_span = crate::trace::span("parse");
         let stmt = parse_statement(sql)?;
         drop(parse_span);
         let parse_time = t.elapsed();
-        self.emit(|| TraceEvent::Parsed { elapsed: parse_time });
         let Statement::Select(q) = stmt else {
             return Err(DbError::Plan("explain_analyze() expects SELECT".into()));
         };
@@ -659,7 +627,6 @@ impl Database {
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
         drop(plan_span);
         let plan_time = t.elapsed();
-        self.emit(|| TraceEvent::Planned { elapsed: plan_time, explain: plan.explain.clone() });
 
         let pool0 = self.pool.stats_total();
         let wal0 = self.wal_stats().unwrap_or_default();
@@ -688,7 +655,6 @@ impl Database {
             crate::metrics::record_operator_spans(root, exec_id);
         }
         self.registry.record_query(metrics.wall);
-        self.emit(|| TraceEvent::QueryEnd { rows: metrics.rows, wall: metrics.wall });
         Ok(AnalyzeReport { result: QueryResult { columns: plan.columns, rows }, metrics })
     }
 
@@ -1367,6 +1333,24 @@ impl Drop for Database {
     }
 }
 
+/// Take the exclusive lock on `dir/LOCK` that marks the directory as
+/// open by one [`Database`].
+fn lock_dir(dir: &Path) -> Result<std::fs::File> {
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(dir.join("LOCK"))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(DbError::Io(std::io::Error::new(
+            std::io::ErrorKind::WouldBlock,
+            format!("database directory {} is already open", dir.display()),
+        ))),
+        Err(std::fs::TryLockError::Error(e)) => Err(e.into()),
+    }
+}
+
 /// Convert parsed `INSERT … VALUES` literal rows into [`Value`] rows.
 fn literal_rows(rows: Vec<Vec<AstExpr>>) -> Result<Vec<Row>> {
     let mut values = Vec::with_capacity(rows.len());
@@ -1413,11 +1397,15 @@ fn coerce(v: &mut Value, c: &ColumnDef) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ForcedAccess;
+    use crate::tempdir::TempDir;
 
-    fn db(tag: &str) -> Database {
-        let dir = std::env::temp_dir().join(format!("ordb-db-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Database::open(&dir).unwrap()
+    /// A database in a fresh directory; keep the [`TempDir`] alive while
+    /// the database is in use.
+    fn db(tag: &str) -> (TempDir, Database) {
+        let dir = TempDir::new(&format!("ordb-db-{tag}")).unwrap();
+        let db = Database::open(&dir).unwrap();
+        (dir, db)
     }
 
     fn setup_speech(db: &Database) {
@@ -1466,7 +1454,7 @@ mod tests {
 
     #[test]
     fn create_insert_select() {
-        let db = db("basic");
+        let (_dir, db) = db("basic");
         setup_speech(&db);
         let r = db.query("SELECT speechID FROM speech WHERE speech_parentID = 1").unwrap();
         assert_eq!(r.len(), 2);
@@ -1477,7 +1465,7 @@ mod tests {
         // Regression: `-9223372036854775808` used to fail with `bad
         // number` because the magnitude was parsed as i64 before the
         // unary minus was folded in.
-        let db = db("i64min");
+        let (_dir, db) = db("i64min");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.execute(&format!("INSERT INTO t VALUES ({}), ({}), (0)", i64::MIN, i64::MAX)).unwrap();
         let r = db.query(&format!("SELECT a FROM t WHERE a = {}", i64::MIN)).unwrap();
@@ -1493,7 +1481,7 @@ mod tests {
 
     #[test]
     fn sql_insert_and_scalar() {
-        let db = db("sqlinsert");
+        let (_dir, db) = db("sqlinsert");
         db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, NULL)").unwrap();
         let r = db.query("SELECT COUNT(*) FROM t").unwrap();
@@ -1504,7 +1492,7 @@ mod tests {
 
     #[test]
     fn xadt_methods_in_sql() {
-        let db = db("xadtsql");
+        let (_dir, db) = db("xadtsql");
         setup_speech(&db);
         // The paper's QE1 shape.
         let r = db
@@ -1526,7 +1514,7 @@ mod tests {
 
     #[test]
     fn unnest_in_sql_figure_9() {
-        let db = db("unnest9");
+        let (_dir, db) = db("unnest9");
         db.execute("CREATE TABLE speakers (speaker XADT)").unwrap();
         db.execute(
             "INSERT INTO speakers VALUES \
@@ -1546,7 +1534,7 @@ mod tests {
 
     #[test]
     fn joins_with_index_and_without() {
-        let db = db("joins");
+        let (_dir, db) = db("joins");
         setup_speech(&db);
         let sql = "SELECT act_title, speechID FROM speech, act \
                    WHERE speech_parentID = actID";
@@ -1566,7 +1554,7 @@ mod tests {
 
     #[test]
     fn cost_model_picks_index_nlj_for_selective_probes() {
-        let db = db("costnlj");
+        let (_dir, db) = db("costnlj");
         db.execute("CREATE TABLE parent (pid INTEGER, tag VARCHAR)").unwrap();
         db.execute("CREATE TABLE child (cid INTEGER, c_parent INTEGER, payload VARCHAR)").unwrap();
         let parents: Vec<Row> =
@@ -1600,7 +1588,7 @@ mod tests {
 
     #[test]
     fn group_by_and_order() {
-        let db = db("groupby");
+        let (_dir, db) = db("groupby");
         setup_speech(&db);
         let r = db
             .query(
@@ -1616,7 +1604,7 @@ mod tests {
 
     #[test]
     fn like_predicate() {
-        let db = db("like");
+        let (_dir, db) = db("like");
         setup_speech(&db);
         let r = db
             .query("SELECT speechID FROM speech WHERE xtext(speech_line) LIKE '%friend%'")
@@ -1626,8 +1614,7 @@ mod tests {
 
     #[test]
     fn persistence_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("ordb-db-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-reopen").unwrap();
         {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER, x XADT)").unwrap();
@@ -1645,8 +1632,24 @@ mod tests {
     }
 
     #[test]
+    fn second_open_of_a_live_directory_is_refused() {
+        let (dir, db) = db("lock");
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        match Database::open(&dir) {
+            Err(DbError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock, "{e}"),
+            Err(e) => panic!("want a lock error, got {e:?}"),
+            Ok(_) => panic!("two handles must not share one directory"),
+        }
+        // The refused open left the owner untouched.
+        db.insert_rows("t", vec![vec![Value::Int(1)]]).unwrap();
+        drop(db);
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), 1, "dropping the owner releases the lock");
+    }
+
+    #[test]
     fn sizes_grow_with_data() {
-        let db = db("sizes");
+        let (_dir, db) = db("sizes");
         db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
         db.execute("CREATE INDEX t_a ON t (a)").unwrap();
         let d0 = db.data_size_bytes().unwrap();
@@ -1661,7 +1664,7 @@ mod tests {
 
     #[test]
     fn type_checking_on_insert() {
-        let db = db("typecheck");
+        let (_dir, db) = db("typecheck");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         assert!(db.insert_rows("t", vec![vec![Value::str("no")]]).is_err());
         assert!(db.insert_rows("t", vec![vec![Value::Int(1), Value::Int(2)]]).is_err());
@@ -1670,7 +1673,7 @@ mod tests {
 
     #[test]
     fn index_backfill_after_load() {
-        let db = db("backfill");
+        let (_dir, db) = db("backfill");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..100).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         db.execute("CREATE INDEX t_a ON t (a)").unwrap();
@@ -1683,7 +1686,7 @@ mod tests {
 
     #[test]
     fn cold_queries_after_drop_cache() {
-        let db = db("cold");
+        let (_dir, db) = db("cold");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..2000).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         db.flush().unwrap();
@@ -1697,7 +1700,7 @@ mod tests {
 
     #[test]
     fn lateral_unnest_of_computed_expression() {
-        let db = db("lateralexpr");
+        let (_dir, db) = db("lateralexpr");
         db.execute("CREATE TABLE pp (sList XADT)").unwrap();
         db.execute(
             "INSERT INTO pp VALUES ('<sList><sListTuple><sectionName>Query Processing</sectionName><articles><aTuple><title>On Joins</title><authors><author>A</author><author>B</author></authors></aTuple></articles></sListTuple></sList>')",
@@ -1715,7 +1718,7 @@ mod tests {
 
     #[test]
     fn delete_with_predicate_maintains_indexes() {
-        let db = db("delete");
+        let (_dir, db) = db("delete");
         db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
         db.execute("CREATE INDEX t_a ON t (a)").unwrap();
         db.insert_rows(
@@ -1739,7 +1742,7 @@ mod tests {
 
     #[test]
     fn drop_table_and_index() {
-        let db = db("drop");
+        let (_dir, db) = db("drop");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.execute("CREATE INDEX t_a ON t (a)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
@@ -1754,7 +1757,7 @@ mod tests {
 
     #[test]
     fn explain_statement_returns_plan_rows() {
-        let db = db("explainsql");
+        let (_dir, db) = db("explainsql");
         setup_speech(&db);
         let r = db.query("EXPLAIN SELECT speechID FROM speech WHERE speech_parentID = 1").unwrap();
         assert_eq!(r.columns, vec!["plan".to_string()]);
@@ -1765,7 +1768,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_matches_query_for_join() {
-        let db = db("analyzejoin");
+        let (_dir, db) = db("analyzejoin");
         setup_speech(&db);
         let sql = "SELECT act_title, speechID FROM speech, act \
                    WHERE speech_parentID = actID";
@@ -1784,7 +1787,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_matches_query_for_unnest() {
-        let db = db("analyzeunnest");
+        let (_dir, db) = db("analyzeunnest");
         db.execute("CREATE TABLE speakers (speaker XADT)").unwrap();
         db.execute(
             "INSERT INTO speakers VALUES \
@@ -1808,7 +1811,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_counts_udf_calls() {
-        let db = db("analyzeudf");
+        let (_dir, db) = db("analyzeudf");
         setup_speech(&db);
         let report = db
             .explain_analyze(
@@ -1828,7 +1831,7 @@ mod tests {
 
     #[test]
     fn warm_scan_improves_hit_ratio() {
-        let db = db("warmscan");
+        let (_dir, db) = db("warmscan");
         db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
         db.insert_rows(
             "t",
@@ -1852,7 +1855,7 @@ mod tests {
 
     #[test]
     fn drop_cache_writebacks_not_charged_to_next_window() {
-        let db = db("dropchargewindow");
+        let (_dir, db) = db("dropchargewindow");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..500).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         // Dirty frames exist now; open a fresh window, then drop the cache.
@@ -1870,33 +1873,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_query_lifecycle() {
-        let db = db("tracesink");
-        setup_speech(&db);
-        let sink = crate::trace::MemorySink::new();
-        db.set_trace_sink(Some(sink.clone()));
-        db.query("SELECT speechID FROM speech").unwrap();
-        let events = sink.events();
-        #[cfg(feature = "trace")]
-        {
-            use crate::trace::TraceEvent as E;
-            assert_eq!(events.len(), 4, "{events:?}");
-            assert!(matches!(&events[0], E::QueryStart { sql } if sql.contains("speechID")));
-            assert!(matches!(events[1], E::Parsed { .. }));
-            assert!(matches!(&events[2], E::Planned { explain, .. } if !explain.is_empty()));
-            assert!(matches!(events[3], E::QueryEnd { rows: 3, .. }));
-        }
-        #[cfg(not(feature = "trace"))]
-        assert!(events.is_empty());
-        // Uninstalling stops delivery.
-        db.set_trace_sink(None);
-        db.query("SELECT speechID FROM speech").unwrap();
-        assert_eq!(sink.events().len(), events.len());
-    }
-
-    #[test]
     fn order_by_desc_and_limit() {
-        let db = db("orderlimit");
+        let (_dir, db) = db("orderlimit");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..10).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         let r = db.query("SELECT a FROM t ORDER BY a DESC LIMIT 3").unwrap();
@@ -1908,7 +1886,7 @@ mod tests {
         // Regression: operator builds used to run at construction time,
         // so EXPLAIN did real heap scans and hash-table builds just to
         // print the plan.
-        let db = db("explainnofetch");
+        let (_dir, db) = db("explainnofetch");
         setup_speech(&db);
         db.execute("CREATE INDEX idx_parent ON speech (speech_parentID)").unwrap();
         db.flush().unwrap();
@@ -1929,30 +1907,28 @@ mod tests {
     }
 
     #[test]
-    fn explain_batch_plan_performs_zero_pool_fetches() {
-        // Regression: BatchSeqScan and BatchHashJoin must defer all I/O
-        // to first next() just like their row counterparts, or EXPLAIN
-        // under the batch executor would scan the heap to print a plan.
-        let db = db("explainbatchnofetch");
+    fn explain_seq_scan_plan_performs_zero_pool_fetches() {
+        // Regression: SeqScan buffers a whole heap page per fetch, and
+        // that first fetch must wait for the first next(), or EXPLAIN
+        // would read the heap just to print a plan.
+        let (_dir, db) = db("explainseqnofetch");
         setup_speech(&db);
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
         db.take_io_stats();
         for sql in [
             "SELECT speechID FROM speech WHERE speech_parentID = 1",
             "SELECT s.speechID, a.act_title FROM speech s, act a \
              WHERE s.speech_parentID = a.actID",
         ] {
-            let plan = db.explain_with_forcing(sql, Some(batch)).unwrap();
+            let plan = db.explain(sql).unwrap();
             assert!(
-                plan.iter().any(|l| l.contains("BatchSeqScan")),
-                "forcing must vectorize the scan: {plan:?}"
+                plan.iter().any(|l| l.contains("SeqScan")),
+                "no index, so a seq scan: {plan:?}"
             );
         }
         let window = db.take_io_stats();
-        assert_eq!(window.fetches(), 0, "batch EXPLAIN must touch zero pages: {window:?}");
+        assert_eq!(window.fetches(), 0, "EXPLAIN must touch zero pages: {window:?}");
     }
 
     #[test]
@@ -1960,8 +1936,7 @@ mod tests {
         // Load + commit, then "crash" (abandon the handle so nothing
         // flushes): the data files never saw the committed pages. Reopen
         // must replay them all from the WAL.
-        let dir = std::env::temp_dir().join(format!("ordb-db-crashrec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-crashrec").unwrap();
         {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
@@ -1987,7 +1962,6 @@ mod tests {
             let r = db.query("SELECT b FROM t WHERE a = 123").unwrap();
             assert_eq!(r.rows, vec![vec![Value::str("row 123")]]);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1997,8 +1971,7 @@ mod tests {
         // committing without checkpointing — then tear. Reopen must
         // restore the page from the log, and the query result must be
         // exactly the pre-corruption answer.
-        let dir = std::env::temp_dir().join(format!("ordb-db-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-torn").unwrap();
         let file_id;
         {
             let db = Database::open(&dir).unwrap();
@@ -2027,15 +2000,13 @@ mod tests {
             let r = db.query("SELECT COUNT(*) FROM t WHERE a < 10").unwrap();
             assert_eq!(r.scalar(), Some(&Value::Int(10)));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corruption_without_wal_is_detected_not_served() {
         // Durability off: no WAL to repair from, but the page checksum
         // still turns silent corruption into a hard error.
-        let dir = std::env::temp_dir().join(format!("ordb-db-nowal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-nowal").unwrap();
         let opts = DbOptions { durability: false, ..Default::default() };
         let file_id;
         {
@@ -2057,13 +2028,11 @@ mod tests {
                 other => panic!("bit flip must surface as Corrupt, got {other:?}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn close_is_idempotent_and_drop_after_close_does_nothing() {
-        let dir = std::env::temp_dir().join(format!("ordb-db-close-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-close").unwrap();
         {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER)").unwrap();
@@ -2085,15 +2054,13 @@ mod tests {
             assert_eq!(rec.replayed_pages, 0, "{rec:?}");
             assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap().scalar(), Some(&Value::Int(50)));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn drop_flushes_dirty_pages_best_effort() {
         // No explicit flush/close: Drop's checkpoint must still land the
         // rows (the drop_cache-teardown loss mode from the issue).
-        let dir = std::env::temp_dir().join(format!("ordb-db-dropflush-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-dropflush").unwrap();
         {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER)").unwrap();
@@ -2107,12 +2074,11 @@ mod tests {
                 Some(&Value::Int(200))
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn explain_analyze_reports_wal_delta_zero_for_reads() {
-        let db = db("walmetrics");
+        let (_dir, db) = db("walmetrics");
         setup_speech(&db);
         db.commit().unwrap();
         let report = db.explain_analyze("SELECT COUNT(*) FROM speech").unwrap();
@@ -2126,8 +2092,7 @@ mod tests {
         // N threads fire the same mixed read-only workload at one shared
         // Database; every thread must see exactly the single-threaded
         // results. Run with a tiny pool so eviction churn is constant.
-        let dir = std::env::temp_dir().join(format!("ordb-db-concurrent-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-concurrent").unwrap();
         let db =
             Database::open_with(&dir, DbOptions { pool_frames: 16, ..Default::default() }).unwrap();
         setup_speech(&db);
@@ -2172,7 +2137,7 @@ mod tests {
         let _guard = crate::trace::span_test_lock();
         crate::trace::spans_enable(crate::trace::DEFAULT_SPAN_CAPACITY);
         crate::trace::spans_clear();
-        let db = db("spans");
+        let (_dir, db) = db("spans");
         setup_speech(&db);
         db.query("SELECT speechID FROM speech WHERE speech_parentID = 1").unwrap();
         db.commit().unwrap();
@@ -2198,7 +2163,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_diff_counts_queries_and_latency() {
-        let db = db("registry");
+        let (_dir, db) = db("registry");
         setup_speech(&db);
         let before = db.metrics_snapshot();
         db.query("SELECT COUNT(*) FROM speech").unwrap();
@@ -2232,7 +2197,7 @@ mod tests {
 
     #[test]
     fn vacuum_reclaims_deleted_versions_and_footprint_stays_flat() {
-        let db = db("vacuum-churn");
+        let (_dir, db) = db("vacuum-churn");
         setup_churn(&db, 200);
         // One full cycle first so the file reaches its steady-state size.
         db.execute("DELETE FROM churn").unwrap();
@@ -2261,7 +2226,7 @@ mod tests {
 
     #[test]
     fn vacuum_sql_statement_reports_reclaimed_count() {
-        let db = db("vacuum-sql");
+        let (_dir, db) = db("vacuum-sql");
         setup_speech(&db);
         db.execute("DELETE FROM speech WHERE speech_parentID = 1").unwrap();
         let reclaimed = db.execute("VACUUM").unwrap();
@@ -2272,7 +2237,7 @@ mod tests {
 
     #[test]
     fn open_transaction_pins_vacuum_watermark() {
-        let db = db("vacuum-pin");
+        let (_dir, db) = db("vacuum-pin");
         setup_speech(&db);
         let t = db.begin_txn();
         db.execute("DELETE FROM speech").unwrap();
@@ -2287,17 +2252,27 @@ mod tests {
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "releasing the pin unblocks reclaim");
     }
 
+    /// Runs `sql` under forced seq-scan and forced index-scan access and
+    /// asserts both paths return the same rows. `speech` must carry an
+    /// index on `speechID` and `sql` a sargable predicate on it.
+    fn scans_agree(db: &Database, sql: &str, txn: Option<TxnId>) -> QueryResult {
+        let forced = |access| PlanForcing { access: Some(access), ..PlanForcing::default() };
+        let seq = db.query_in(sql, Some(forced(ForcedAccess::SeqScan)), txn).unwrap();
+        let idx = db.query_in(sql, Some(forced(ForcedAccess::IndexScan)), txn).unwrap();
+        assert_eq!(seq.rows, idx.rows, "seq scan diverged from index scan on {sql}");
+        seq
+    }
+
     #[test]
-    fn batch_scan_respects_open_snapshot() {
-        // The vectorized scan collects whole pages at a time, so its
-        // MVCC filtering must match the row cursor exactly: uncommitted
-        // writes and post-snapshot commits stay invisible under a
-        // pinned snapshot, and only the uncommitted ones under a fresh
-        // autocommit snapshot.
-        let db = db("batch-snapshot");
+    fn seq_and_index_scans_respect_open_snapshot() {
+        // The seq scan filters versions a whole page at a time; it must
+        // match the index path's per-tuple visibility exactly:
+        // uncommitted writes and post-snapshot commits stay invisible
+        // under a pinned snapshot, and only the uncommitted ones under a
+        // fresh autocommit snapshot.
+        let (_dir, db) = db("scan-snapshot");
         setup_speech(&db);
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
+        db.execute("CREATE INDEX idx_speech_id ON speech (speechID)").unwrap();
         let t = db.begin_txn();
         // Another connection inserts but never commits...
         let mut other = None;
@@ -2315,34 +2290,29 @@ mod tests {
         )
         .unwrap();
         let check = |txn: Option<TxnId>, want: usize, label: &str| {
-            let sql = "SELECT speechID, speech_speaker FROM speech";
-            let row = db.query_in(sql, None, txn).unwrap();
-            let bat = db.query_in(sql, Some(batch), txn).unwrap();
-            assert_eq!(row.rows, bat.rows, "{label}: batch scan diverged from row scan");
-            assert_eq!(row.len(), want, "{label}");
+            let sql = "SELECT speechID, speech_speaker FROM speech WHERE speechID >= 0 \
+                       ORDER BY speechID";
+            assert_eq!(scans_agree(&db, sql, txn).len(), want, "{label}");
         };
         check(Some(t), 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
         check(None, 4, "fresh snapshot hides only the uncommitted insert");
         db.execute_txn("ROLLBACK", &mut other).unwrap();
         db.commit_txn(t).unwrap();
-        check(None, 4, "rollback leaves the aborted insert invisible to both executors");
+        check(None, 4, "rollback leaves the aborted insert invisible to both paths");
     }
 
     #[test]
-    fn batch_scan_hides_vacuumed_versions_like_row_path() {
-        // Deleted-but-pinned versions must survive for the batch scan
-        // exactly as for the row cursor, and once vacuum reclaims them
-        // both executors agree the pages are empty.
-        let db = db("batch-vacuum");
+    fn seq_scan_hides_vacuumed_versions_like_index_scan() {
+        // Deleted-but-pinned versions must survive for the seq scan
+        // exactly as for the index path, and once vacuum reclaims them
+        // both paths agree the table is empty.
+        let (_dir, db) = db("scan-vacuum");
         setup_speech(&db);
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
+        db.execute("CREATE INDEX idx_speech_id ON speech (speechID)").unwrap();
         let check = |txn: Option<TxnId>, want: usize, label: &str| {
-            let sql = "SELECT speechID, speech_line FROM speech";
-            let row = db.query_in(sql, None, txn).unwrap();
-            let bat = db.query_in(sql, Some(batch), txn).unwrap();
-            assert_eq!(row.rows, bat.rows, "{label}: batch scan diverged from row scan");
-            assert_eq!(row.len(), want, "{label}");
+            let sql = "SELECT speechID, speech_line FROM speech WHERE speechID >= 0 \
+                       ORDER BY speechID";
+            assert_eq!(scans_agree(&db, sql, txn).len(), want, "{label}");
         };
         let t = db.begin_txn();
         db.execute("DELETE FROM speech").unwrap();
@@ -2351,12 +2321,12 @@ mod tests {
         check(None, 0, "fresh snapshot sees the delete");
         db.commit_txn(t).unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "commit releases the pin");
-        check(None, 0, "post-vacuum both executors agree the heap is empty");
+        check(None, 0, "post-vacuum both paths agree the table is empty");
     }
 
     #[test]
     fn auto_vacuum_runs_on_checkpoint_after_deletes() {
-        let db = db("vacuum-auto");
+        let (_dir, db) = db("vacuum-auto");
         setup_speech(&db);
         db.execute("DELETE FROM speech").unwrap();
         db.checkpoint().unwrap();
@@ -2369,9 +2339,7 @@ mod tests {
 
     #[test]
     fn auto_vacuum_off_leaves_dead_versions_for_manual_pass() {
-        let dir =
-            std::env::temp_dir().join(format!("ordb-db-vacuum-manual-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-vacuum-manual").unwrap();
         let opts = DbOptions { auto_vacuum: false, ..DbOptions::default() };
         let db = Database::open_with(&dir, opts).unwrap();
         setup_speech(&db);
@@ -2386,9 +2354,7 @@ mod tests {
 
     #[test]
     fn vacuum_frees_overflow_chains_and_survives_reopen() {
-        let dir =
-            std::env::temp_dir().join(format!("ordb-db-vacuum-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("ordb-db-vacuum-reopen").unwrap();
         let db = Database::open(&dir).unwrap();
         db.execute("CREATE TABLE blobs (id INTEGER, body VARCHAR)").unwrap();
         let big: Vec<Row> =

@@ -471,6 +471,7 @@ mod tests {
     use super::*;
     use crate::exec::{collect, Values};
     use crate::storage::spill::SpillManager;
+    use crate::tempdir::TempDir;
 
     fn rows() -> BoxOp {
         Box::new(Values::new(vec![
@@ -563,10 +564,13 @@ mod tests {
         assert_eq!(out, vec![vec![Value::Int(i64::MAX)]]);
     }
 
-    fn spill_config(tag: &str, budget: usize) -> SpillConfig {
-        let dir = std::env::temp_dir().join(format!("ordb-agg-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir)) }
+    /// A spill-enabled config writing under a fresh directory; keep the
+    /// [`TempDir`] alive while the config is in use.
+    fn spill_config(tag: &str, budget: usize) -> (TempDir, SpillConfig) {
+        let dir = TempDir::new(&format!("ordb-agg-test-{tag}")).unwrap();
+        let cfg =
+            SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir.path())) };
+        (dir, cfg)
     }
 
     fn many_rows() -> Vec<Row> {
@@ -593,7 +597,7 @@ mod tests {
         )))
         .unwrap();
         for budget in [128usize, 512, 2048] {
-            let cfg = spill_config(&format!("agg-{budget}"), budget);
+            let (_dir, cfg) = spill_config(&format!("agg-{budget}"), budget);
             let manager = cfg.manager.clone();
             let mut spilled = collect(Box::new(HashAggregate::with_spill(
                 Box::new(Values::new(many_rows())),
@@ -618,7 +622,7 @@ mod tests {
         let mut in_mem =
             collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone()))))).unwrap();
         for budget in [64usize, 256, 1024] {
-            let cfg = spill_config(&format!("distinct-{budget}"), budget);
+            let (_dir, cfg) = spill_config(&format!("distinct-{budget}"), budget);
             let manager = cfg.manager.clone();
             let mut spilled =
                 collect(Box::new(Distinct::with_spill(Box::new(Values::new(rows.clone())), cfg)))

@@ -658,6 +658,7 @@ mod tests {
     use super::*;
     use crate::exec::{collect, Values};
     use crate::expr::CmpOp;
+    use crate::tempdir::TempDir;
 
     fn left() -> BoxOp {
         // (id, name)
@@ -731,13 +732,15 @@ mod tests {
         assert_eq!(collect(Box::new(j)).unwrap().len(), 25);
     }
 
-    fn spill_config(tag: &str, budget: usize) -> SpillConfig {
-        let dir = std::env::temp_dir().join(format!("ordb-join-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig {
+    /// A spill-enabled config writing under a fresh directory; keep the
+    /// [`TempDir`] alive while the config is in use.
+    fn spill_config(tag: &str, budget: usize) -> (TempDir, SpillConfig) {
+        let dir = TempDir::new(&format!("ordb-join-test-{tag}")).unwrap();
+        let cfg = SpillConfig {
             budget: Some(budget),
-            manager: Arc::new(crate::storage::spill::SpillManager::new(dir)),
-        }
+            manager: Arc::new(crate::storage::spill::SpillManager::new(dir.path())),
+        };
+        (dir, cfg)
     }
 
     fn big_sides() -> (Vec<Row>, Vec<Row>) {
@@ -776,7 +779,7 @@ mod tests {
         )))
         .unwrap();
         for budget in [256usize, 1024, 4096] {
-            let cfg = spill_config(&format!("grace-{budget}"), budget);
+            let (_dir, cfg) = spill_config(&format!("grace-{budget}"), budget);
             let manager = cfg.manager.clone();
             let before =
                 crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
@@ -810,7 +813,7 @@ mod tests {
             None,
         )))
         .unwrap();
-        let cfg = spill_config("merge", 512);
+        let (_dir, cfg) = spill_config("merge", 512);
         let manager = cfg.manager.clone();
         let spilled = collect(Box::new(MergeJoin::with_spill(
             Box::new(Values::new(l)),

@@ -232,6 +232,7 @@ mod tests {
     use super::*;
     use crate::exec::{collect, Values};
     use crate::storage::spill::SpillManager;
+    use crate::tempdir::TempDir;
     use std::sync::Arc;
 
     #[test]
@@ -275,10 +276,13 @@ mod tests {
         assert_eq!(snapshot, [None, None, Some(3), Some(2), Some(1)]);
     }
 
-    fn spill_config(tag: &str, budget: usize) -> SpillConfig {
-        let dir = std::env::temp_dir().join(format!("ordb-sort-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir)) }
+    /// A spill-enabled config writing under a fresh directory; keep the
+    /// [`TempDir`] alive while the config is in use.
+    fn spill_config(tag: &str, budget: usize) -> (TempDir, SpillConfig) {
+        let dir = TempDir::new(&format!("ordb-sort-test-{tag}")).unwrap();
+        let cfg =
+            SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir.path())) };
+        (dir, cfg)
     }
 
     #[test]
@@ -294,7 +298,7 @@ mod tests {
         };
         let in_mem =
             collect(Box::new(Sort::new(Box::new(Values::new(rows.clone())), keys()))).unwrap();
-        let cfg = spill_config("ext", 512);
+        let (_dir, cfg) = spill_config("ext", 512);
         let manager = cfg.manager.clone();
         let external =
             collect(Box::new(Sort::with_spill(Box::new(Values::new(rows)), keys(), cfg))).unwrap();
@@ -307,7 +311,7 @@ mod tests {
         // Equal keys must keep input order across the spill path. Column
         // 1 records input position but is not a sort key.
         let rows: Vec<Row> = (0..200).map(|i| vec![Value::Int(i % 3), Value::Int(i)]).collect();
-        let cfg = spill_config("stable", 256);
+        let (_dir, cfg) = spill_config("stable", 256);
         let out = collect(Box::new(Sort::with_spill(
             Box::new(Values::new(rows)),
             vec![SortKey { expr: Expr::col(0), asc: true }],

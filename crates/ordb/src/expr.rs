@@ -144,32 +144,6 @@ pub enum Expr {
     },
 }
 
-/// Where an expression reads its column operands from: a contiguous row
-/// slice (the Volcano executor) or one row position across the column
-/// vectors of a batch (the vectorized executor).
-trait ValueSource {
-    /// The value of column `col`, `None` when out of range.
-    fn value(&self, col: usize) -> Option<&Value>;
-}
-
-impl ValueSource for &[Value] {
-    fn value(&self, col: usize) -> Option<&Value> {
-        self.get(col)
-    }
-}
-
-/// One row position across a batch's column vectors.
-struct ColumnsAt<'a> {
-    cols: &'a [Vec<Value>],
-    row: usize,
-}
-
-impl ValueSource for ColumnsAt<'_> {
-    fn value(&self, col: usize) -> Option<&Value> {
-        self.cols.get(col)?.get(self.row)
-    }
-}
-
 impl Expr {
     /// Convenience: column reference.
     pub fn col(i: usize) -> Expr {
@@ -188,38 +162,26 @@ impl Expr {
 
     /// Evaluate against `row`.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
-        self.eval_src(&row)
-    }
-
-    /// Evaluate at position `row` of a column-vector batch: `cols[i]` is
-    /// column `i`, `cols[i][row]` this row's value. The batch executor's
-    /// entry point — same three-valued logic as [`Expr::eval`] (both are
-    /// monomorphized from one generic body over [`ValueSource`]).
-    pub fn eval_at(&self, cols: &[Vec<Value>], row: usize) -> Result<Value> {
-        self.eval_src(&ColumnsAt { cols, row })
-    }
-
-    fn eval_src<S: ValueSource>(&self, row: &S) -> Result<Value> {
         match self {
             Expr::Column(i) => row
-                .value(*i)
+                .get(*i)
                 .cloned()
                 .ok_or_else(|| DbError::Exec(format!("column index {i} out of range"))),
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Cmp { op, lhs, rhs } => {
-                let l = lhs.eval_src(row)?;
-                let r = rhs.eval_src(row)?;
+                let l = lhs.eval(row)?;
+                let r = rhs.eval(row)?;
                 Ok(match l.sql_cmp(&r) {
                     None => Value::Null,
                     Some(ord) => Value::Int(i64::from(op.matches(ord))),
                 })
             }
             Expr::And(a, b) => {
-                let va = a.eval_src(row)?;
+                let va = a.eval(row)?;
                 if !va.is_null() && !va.is_true() {
                     return Ok(Value::Int(0));
                 }
-                let vb = b.eval_src(row)?;
+                let vb = b.eval(row)?;
                 if !vb.is_null() && !vb.is_true() {
                     return Ok(Value::Int(0));
                 }
@@ -229,11 +191,11 @@ impl Expr {
                 Ok(Value::Int(1))
             }
             Expr::Or(a, b) => {
-                let va = a.eval_src(row)?;
+                let va = a.eval(row)?;
                 if va.is_true() {
                     return Ok(Value::Int(1));
                 }
-                let vb = b.eval_src(row)?;
+                let vb = b.eval(row)?;
                 if vb.is_true() {
                     return Ok(Value::Int(1));
                 }
@@ -243,14 +205,14 @@ impl Expr {
                 Ok(Value::Int(0))
             }
             Expr::Not(e) => {
-                let v = e.eval_src(row)?;
+                let v = e.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 Ok(Value::Int(i64::from(!v.is_true())))
             }
             Expr::Like { expr, pattern, negated } => {
-                let v = expr.eval_src(row)?;
+                let v = expr.eval(row)?;
                 match v {
                     Value::Null => Ok(Value::Null),
                     Value::Str(s) => {
@@ -261,19 +223,19 @@ impl Expr {
                 }
             }
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval_src(row)?;
+                let v = expr.eval(row)?;
                 Ok(Value::Int(i64::from(v.is_null() != *negated)))
             }
             Expr::Func { def, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(a.eval_src(row)?);
+                    vals.push(a.eval(row)?);
                 }
                 def.call(&vals)
             }
             Expr::Arith { op, lhs, rhs } => {
-                let l = lhs.eval_src(row)?;
-                let r = rhs.eval_src(row)?;
+                let l = lhs.eval(row)?;
+                let r = rhs.eval(row)?;
                 match (l, r) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                     (Value::Int(a), Value::Int(b)) => {

@@ -56,11 +56,17 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Create a fresh tree in an empty registered file.
+    /// Create a fresh tree in an empty registered file. A file that
+    /// already holds pages is an error: the tree's meta page must be
+    /// page 0.
     pub fn create(pool: Arc<BufferPool>, file: FileId) -> Result<BTree> {
         let tree = BTree { pool, file, latch: RwLock::new(()) };
         let (meta_pid, meta) = tree.pool.allocate(file)?;
-        debug_assert_eq!(meta_pid, 0);
+        if meta_pid != 0 {
+            return Err(DbError::Corrupt(format!(
+                "index file {file} is not empty: its meta page would land on page {meta_pid}"
+            )));
+        }
         let (root_pid, root) = tree.pool.allocate(file)?;
         {
             let mut p = root.page.lock();
@@ -539,16 +545,16 @@ fn find_child(p: &Page, stored: &[u8]) -> (u32, Option<usize>) {
 mod tests {
     use super::*;
     use crate::index::key::encode_key;
+    use crate::tempdir::TempDir;
     use crate::types::Value;
 
-    fn tree(tag: &str, frames: usize) -> BTree {
-        let dir = std::env::temp_dir().join(format!("ordb-btree-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("i.db");
-        let _ = std::fs::remove_file(&path);
+    /// A tree in a fresh directory; keep the [`TempDir`] alive while the
+    /// tree is in use.
+    fn tree(tag: &str, frames: usize) -> (TempDir, BTree) {
+        let dir = TempDir::new(&format!("ordb-btree-{tag}")).unwrap();
         let pool = Arc::new(BufferPool::new(frames));
-        pool.register_file(9, path).unwrap();
-        BTree::create(pool, 9).unwrap()
+        pool.register_file(9, dir.join("i.db")).unwrap();
+        (dir, BTree::create(pool, 9).unwrap())
     }
 
     fn rid(i: u64) -> Rid {
@@ -557,7 +563,7 @@ mod tests {
 
     #[test]
     fn insert_and_prefix_scan() {
-        let t = tree("basic", 64);
+        let (_dir, t) = tree("basic", 64);
         for i in 0..100i64 {
             t.insert(&encode_key(&[Value::Int(i)]), rid(i as u64)).unwrap();
         }
@@ -569,7 +575,7 @@ mod tests {
 
     #[test]
     fn duplicates_all_returned() {
-        let t = tree("dups", 64);
+        let (_dir, t) = tree("dups", 64);
         let k = encode_key(&[Value::str("HAMLET")]);
         for i in 0..50u64 {
             t.insert(&k, rid(i)).unwrap();
@@ -583,7 +589,7 @@ mod tests {
 
     #[test]
     fn many_inserts_split_and_stay_sorted() {
-        let t = tree("split", 64);
+        let (_dir, t) = tree("split", 64);
         // Insert in pseudorandom order with string keys.
         let mut keys: Vec<i64> = (0..2000).collect();
         // Simple LCG shuffle (deterministic, no rand dependency here).
@@ -613,7 +619,7 @@ mod tests {
 
     #[test]
     fn range_scan_bounds() {
-        let t = tree("range", 64);
+        let (_dir, t) = tree("range", 64);
         for i in 0..100i64 {
             t.insert(&encode_key(&[Value::Int(i)]), rid(i as u64)).unwrap();
         }
@@ -627,7 +633,7 @@ mod tests {
 
     #[test]
     fn delete_removes_exact_pair() {
-        let t = tree("del", 64);
+        let (_dir, t) = tree("del", 64);
         let k = encode_key(&[Value::Int(5)]);
         t.insert(&k, rid(1)).unwrap();
         t.insert(&k, rid(2)).unwrap();
@@ -640,7 +646,7 @@ mod tests {
     #[test]
     fn survives_tiny_buffer_pool() {
         // Pool far smaller than the tree: every descent faults pages in.
-        let t = tree("tiny", 8);
+        let (_dir, t) = tree("tiny", 8);
         for i in 0..3000i64 {
             t.insert(&encode_key(&[Value::Int(i)]), rid(i as u64)).unwrap();
         }
@@ -653,7 +659,7 @@ mod tests {
 
     #[test]
     fn composite_prefix_scan() {
-        let t = tree("comp", 64);
+        let (_dir, t) = tree("comp", 64);
         for a in 0..10i64 {
             for b in 0..10i64 {
                 let k = encode_key(&[Value::Int(a), Value::Int(b)]);
@@ -669,17 +675,15 @@ mod tests {
 
     #[test]
     fn oversized_key_rejected() {
-        let t = tree("oversize", 16);
+        let (_dir, t) = tree("oversize", 16);
         let big = vec![7u8; MAX_KEY_LEN + 1];
         assert!(t.insert(&big, rid(1)).is_err());
     }
 
     #[test]
     fn reopen_preserves_contents() {
-        let dir = std::env::temp_dir().join(format!("ordb-btree-reopen-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("ordb-btree-reopen").unwrap();
         let path = dir.join("i.db");
-        let _ = std::fs::remove_file(&path);
         {
             let pool = Arc::new(BufferPool::new(32));
             pool.register_file(9, path.clone()).unwrap();
@@ -696,6 +700,16 @@ mod tests {
             assert_eq!(t.len().unwrap(), 500);
             let k = encode_key(&[Value::Int(321)]);
             assert_eq!(t.scan_prefix(&k).unwrap(), vec![rid(321)]);
+        }
+    }
+
+    #[test]
+    fn create_on_non_empty_file_is_corrupt() {
+        let (_dir, t) = tree("recreate", 16);
+        match BTree::create(t.pool.clone(), t.file) {
+            Err(DbError::Corrupt(msg)) => assert!(msg.contains("not empty"), "{msg}"),
+            Err(e) => panic!("want Corrupt, got {e:?}"),
+            Ok(_) => panic!("a second tree in one file must be refused"),
         }
     }
 }

@@ -47,6 +47,7 @@ pub mod recovery;
 pub mod sql;
 pub mod stats;
 pub mod storage;
+pub mod tempdir;
 pub mod trace;
 pub mod tuple;
 pub mod txn;
@@ -57,10 +58,10 @@ pub use db::{AnalyzeReport, Database, DbOptions, QueryResult, VacuumReport};
 pub use error::{DbError, Result};
 pub use metrics::QueryMetrics;
 pub use net::{Client, Server, ServerHandle};
-pub use plan::{Executor, ForcedAccess, ForcedJoin, PlanForcing};
+pub use plan::{ForcedAccess, ForcedJoin, PlanForcing};
 pub use recovery::RecoveryReport;
 pub use storage::fault::{CrashMode, FaultInjector, FaultPlan, FaultScope};
 pub use storage::wal::WalStats;
-pub use trace::{MemorySink, TraceEvent, TraceSink};
+pub use tempdir::TempDir;
 pub use txn::{Snapshot, TxnId, TxnStats};
 pub use types::{DataType, Row, Value};

@@ -147,24 +147,6 @@ impl Profiler {
         (Box::new(Instrumented::new(op, metrics)), nodes.len() - 1)
     }
 
-    /// Batch-plan analogue of [`Profiler::wrap`]: wrap `op` in an
-    /// [`InstrumentedBatch`](crate::exec::InstrumentedBatch) node. Row
-    /// and batch nodes share one profile tree, so a mixed plan (batch
-    /// pipeline under a Volcano sort, say) profiles as a single tree.
-    pub fn wrap_batch(
-        &mut self,
-        op: crate::exec::BoxBatchOp,
-        label: impl Into<String>,
-        children: Vec<usize>,
-    ) -> (crate::exec::BoxBatchOp, usize) {
-        let Some(nodes) = self.nodes.as_mut() else {
-            return (op, 0);
-        };
-        let metrics = Arc::new(NodeMetrics::default());
-        nodes.push(ProfNode { label: label.into(), children, metrics: metrics.clone() });
-        (Box::new(crate::exec::InstrumentedBatch::new(op, metrics)), nodes.len() - 1)
-    }
-
     /// Build the finished profile tree. The planner wraps the plan root
     /// last, so the last registered node is the tree root. `None` when
     /// disabled or nothing was wrapped.
@@ -244,12 +226,6 @@ pub struct EngineCounters {
     /// Inserts that landed in a reclaimed slot or reused a freed page
     /// instead of growing the file.
     pub reused_slots: AtomicU64,
-    /// Column-vector batches materialized by the vectorized executor
-    /// (scans, adapters, projections, join outputs).
-    pub batches: AtomicU64,
-    /// Rows carried by those batches; `batch_rows / batches` is the mean
-    /// batch occupancy.
-    pub batch_rows: AtomicU64,
 }
 
 /// The global counter instance.
@@ -265,8 +241,6 @@ pub static ENGINE: EngineCounters = EngineCounters {
     vacuumed_versions: AtomicU64::new(0),
     freed_pages: AtomicU64::new(0),
     reused_slots: AtomicU64::new(0),
-    batches: AtomicU64::new(0),
-    batch_rows: AtomicU64::new(0),
 };
 
 /// A point-in-time copy of [`EngineCounters`].
@@ -294,10 +268,6 @@ pub struct EngineSnapshot {
     pub freed_pages: u64,
     /// See [`EngineCounters::reused_slots`].
     pub reused_slots: u64,
-    /// See [`EngineCounters::batches`].
-    pub batches: u64,
-    /// See [`EngineCounters::batch_rows`].
-    pub batch_rows: u64,
 }
 
 impl EngineCounters {
@@ -315,8 +285,6 @@ impl EngineCounters {
             vacuumed_versions: self.vacuumed_versions.load(Ordering::Relaxed),
             freed_pages: self.freed_pages.load(Ordering::Relaxed),
             reused_slots: self.reused_slots.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_rows: self.batch_rows.load(Ordering::Relaxed),
         }
     }
 }
@@ -336,8 +304,6 @@ impl EngineSnapshot {
             vacuumed_versions: self.vacuumed_versions.saturating_sub(earlier.vacuumed_versions),
             freed_pages: self.freed_pages.saturating_sub(earlier.freed_pages),
             reused_slots: self.reused_slots.saturating_sub(earlier.reused_slots),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batch_rows: self.batch_rows.saturating_sub(earlier.batch_rows),
         }
     }
 }
@@ -766,9 +732,7 @@ impl RegistrySnapshot {
         push_kv(&mut s, "unnest_bytes", self.engine.unnest_bytes);
         push_kv(&mut s, "vacuumed_versions", self.engine.vacuumed_versions);
         push_kv(&mut s, "freed_pages", self.engine.freed_pages);
-        push_kv(&mut s, "reused_slots", self.engine.reused_slots);
-        push_kv(&mut s, "batches", self.engine.batches);
-        s.push_str(&format!("\"batch_rows\":{}}},", self.engine.batch_rows));
+        s.push_str(&format!("\"reused_slots\":{}}},", self.engine.reused_slots));
         s.push_str("\"net\":{");
         push_kv(&mut s, "connections", self.net.connections);
         push_kv(&mut s, "frames_in", self.net.frames_in);
@@ -900,14 +864,6 @@ impl QueryMetrics {
                 self.engine.vacuumed_versions, self.engine.freed_pages, self.engine.reused_slots,
             ));
         }
-        if self.engine.batches > 0 {
-            out.push_str(&format!(
-                "batch: {} batches · {} rows · {:.1} rows/batch\n",
-                self.engine.batches,
-                self.engine.batch_rows,
-                self.engine.batch_rows as f64 / self.engine.batches as f64,
-            ));
-        }
         for u in &self.udfs {
             out.push_str(&format!(
                 "udf {}: {} calls, {} B marshalled\n",
@@ -949,8 +905,6 @@ impl QueryMetrics {
         push_kv(&mut s, "vacuumed_versions", self.engine.vacuumed_versions);
         push_kv(&mut s, "freed_pages", self.engine.freed_pages);
         push_kv(&mut s, "reused_slots", self.engine.reused_slots);
-        push_kv(&mut s, "batches", self.engine.batches);
-        push_kv(&mut s, "batch_rows", self.engine.batch_rows);
         s.push_str("\"udfs\":[");
         for (i, u) in self.udfs.iter().enumerate() {
             if i > 0 {

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use crate::db::QueryResult;
 use crate::error::{DbError, Result};
-use crate::plan::{Executor, ForcedAccess, ForcedJoin, PlanForcing};
+use crate::plan::{ForcedAccess, ForcedJoin, PlanForcing};
 use crate::tuple::{decode_row, encode_row};
 
 // ---- request / response tags --------------------------------------------
@@ -343,7 +343,6 @@ impl Session {
     /// * `force_join` — `nested` | `hash` | `merge` | `cost`
     /// * `force_access` — `seq` | `index` | `cost`
     /// * `force_order` — `declared` | `cost`
-    /// * `force_executor` — `batch` | `volcano`
     ///
     /// `cost` restores the cost-based default for that knob. Unknown
     /// keys or values fail with [`DbError::Exec`] and leave the session
@@ -385,17 +384,6 @@ impl Session {
                     other => {
                         return Err(DbError::Exec(format!(
                             "bad force_order value {other:?} (want declared|cost)"
-                        )))
-                    }
-                }
-            }
-            "force_executor" => {
-                forcing.executor = match val_lc.as_str() {
-                    "batch" => Executor::Batch,
-                    "volcano" => Executor::Volcano,
-                    other => {
-                        return Err(DbError::Exec(format!(
-                            "bad force_executor value {other:?} (want batch|volcano)"
                         )))
                     }
                 }
@@ -538,17 +526,15 @@ mod tests {
         assert_eq!(f.access, Some(ForcedAccess::SeqScan));
         s.set("force_order", "declared").unwrap();
         assert!(s.forcing().unwrap().declared_order);
-        s.set("force_executor", "batch").unwrap();
-        assert_eq!(s.forcing().unwrap().executor, Executor::Batch);
-        s.set("force_executor", "volcano").unwrap();
-        assert_eq!(s.forcing().unwrap().executor, Executor::Volcano);
         s.set("force_join", "cost").unwrap();
         assert_eq!(s.forcing().unwrap().join, None);
         // Bad key/value: error, state unchanged.
         let before = s.forcing();
         assert!(s.set("force_join", "quantum").is_err());
-        assert!(s.set("force_executor", "gpu").is_err());
         assert!(s.set("fsync", "off").is_err());
+        // There is one executor, so there is no executor knob.
+        let err = s.set("force_executor", "batch").unwrap_err();
+        assert!(err.to_string().contains("unknown session option"), "{err}");
         assert_eq!(s.forcing(), before);
         assert_eq!(s.options().get("force_access").map(String::as_str), Some("seq"));
     }

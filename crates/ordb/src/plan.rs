@@ -23,9 +23,8 @@ use std::sync::Arc;
 use crate::catalog::Catalog;
 use crate::error::{DbError, Result};
 use crate::exec::{
-    AggCall, AggFunc, BatchFilter, BatchHashJoin, BatchProject, BatchSeqScan, BatchToRows,
-    BoxBatchOp, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan,
-    Limit, MergeJoin, NestedLoopJoin, Project, RowsToBatch, SeqScan, Sort, SortKey, UnnestScan,
+    AggCall, AggFunc, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
+    IndexScan, Limit, MergeJoin, NestedLoopJoin, Project, SeqScan, Sort, SortKey, UnnestScan,
 };
 use crate::expr::{CmpOp, Expr};
 use crate::functions::FunctionRegistry;
@@ -62,20 +61,6 @@ pub enum ForcedAccess {
     IndexScan,
 }
 
-/// Which execution engine drains the plan (see [`crate::exec::batch`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Executor {
-    /// Row-at-a-time Volcano iterators — the default.
-    #[default]
-    Volcano,
-    /// Vectorized: scan/filter/project/hash-join exchange 1024-row
-    /// column batches with selection vectors; operators without a batch
-    /// implementation (sorts, aggregates, merge/nested-loop joins,
-    /// index paths, unnest, spilling joins) fall back to Volcano via a
-    /// batch→row adapter.
-    Batch,
-}
-
 /// Plan-space forcing: pins planner decisions so a test harness can run
 /// one query under every plan shape and compare results. The default
 /// (`None` everywhere) is the normal cost-based planner.
@@ -89,8 +74,6 @@ pub struct PlanForcing {
     pub declared_order: bool,
     /// Pin the base-table access path. `None`: current default policy.
     pub access: Option<ForcedAccess>,
-    /// Which executor drains the plan (default: Volcano rows).
-    pub executor: Executor,
 }
 
 impl PlanForcing {
@@ -114,11 +97,7 @@ impl PlanForcing {
             Some(ForcedAccess::SeqScan) => "seq",
             Some(ForcedAccess::IndexScan) => "index",
         };
-        let exec = match self.executor {
-            Executor::Volcano => "volcano",
-            Executor::Batch => "batch",
-        };
-        format!("join={join} order={order} access={access} exec={exec}")
+        format!("join={join} order={order} access={access}")
     }
 }
 
@@ -150,60 +129,6 @@ pub struct PhysicalPlan {
     pub columns: Vec<String>,
     /// Human-readable log of planning decisions (for EXPLAIN / tests).
     pub explain: Vec<String>,
-}
-
-/// A plan subtree under construction, in either executor's protocol.
-/// Under `Executor::Batch` the vectorizable prefix of the plan (seq
-/// scans, filters, projections, in-memory hash joins) is built as a
-/// batch subtree; any operator without a batch implementation converts
-/// the subtree back to rows via [`BatchToRows`], and a Volcano subtree
-/// feeding a batch operator is adapted with [`RowsToBatch`].
-enum AnyOp {
-    /// Volcano row subtree.
-    Row(BoxOp),
-    /// Vectorized batch subtree.
-    Batch(BoxBatchOp),
-}
-
-impl AnyOp {
-    /// View as a row operator, inserting a batch→row adapter if needed.
-    fn into_rows(self) -> BoxOp {
-        match self {
-            AnyOp::Row(op) => op,
-            AnyOp::Batch(op) => Box::new(BatchToRows::new(op)),
-        }
-    }
-
-    /// View as a batch operator, inserting a row→batch adapter if needed.
-    fn into_batches(self) -> BoxBatchOp {
-        match self {
-            AnyOp::Row(op) => Box::new(RowsToBatch::new(op)),
-            AnyOp::Batch(op) => op,
-        }
-    }
-}
-
-/// Apply `pred` as a filter in whichever protocol `root` speaks: a
-/// selection-vector refinement on batch subtrees, a Volcano [`Filter`]
-/// on row subtrees.
-fn filter_any(
-    root: AnyOp,
-    root_id: usize,
-    pred: Expr,
-    label: &str,
-    prof: &mut Profiler,
-) -> (AnyOp, usize) {
-    match root {
-        AnyOp::Batch(op) => {
-            let (op, id) =
-                prof.wrap_batch(Box::new(BatchFilter::new(op, pred)), label, vec![root_id]);
-            (AnyOp::Batch(op), id)
-        }
-        AnyOp::Row(op) => {
-            let (op, id) = prof.wrap(Box::new(Filter::new(op, pred)), label, vec![root_id]);
-            (AnyOp::Row(op), id)
-        }
-    }
 }
 
 /// One visible column of the in-flight plan.
@@ -435,12 +360,11 @@ pub fn plan_select_profiled(
                 let (inner, _, inner_id) =
                     build_scan(ctx, &bases[cand], local.get(&bases[cand].alias), prof)?;
                 explain.push(format!("cross join {}", bases[cand].alias));
-                let (op, id) = prof.wrap(
-                    Box::new(NestedLoopJoin::new(root.into_rows(), inner.into_rows(), None)),
+                (root, root_id) = prof.wrap(
+                    Box::new(NestedLoopJoin::new(root, inner, None)),
                     format!("NestedLoopJoin (cross) {}", bases[cand].alias),
                     vec![root_id, inner_id],
                 );
-                (root, root_id) = (AnyOp::Row(op), id);
                 schema.0.extend(bases[cand].columns.iter().cloned());
                 joined[cand] = true;
                 current_rows *= est[cand];
@@ -521,22 +445,21 @@ pub fn plan_select_profiled(
             };
             let pred = compile(&pred_ast, &schema, ctx.functions)?;
             explain.push(format!("nested-loop join {} (forced)", inner_base.alias));
-            let (op, id) = prof.wrap(
-                Box::new(NestedLoopJoin::new(root.into_rows(), inner_plan.into_rows(), Some(pred))),
+            (root, root_id) = prof.wrap(
+                Box::new(NestedLoopJoin::new(root, inner_plan, Some(pred))),
                 format!("NestedLoopJoin {}", inner_base.alias),
                 vec![root_id, inner_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else if let Some(ForcedJoin::Merge) = ctx.forcing.join {
             let (inner_plan, _, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
             let inner_schema = Schema(inner_base.columns.clone());
             let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
             schema.0.extend(inner_base.columns.iter().cloned());
             explain.push(format!("merge join {} (forced)", inner_base.alias));
-            let (op, id) = prof.wrap(
+            (root, root_id) = prof.wrap(
                 Box::new(MergeJoin::with_spill(
-                    root.into_rows(),
-                    inner_plan.into_rows(),
+                    root,
+                    inner_plan,
                     vec![outer_key],
                     vec![inner_key],
                     None,
@@ -545,7 +468,6 @@ pub fn plan_select_profiled(
                 format!("MergeJoin {}", inner_base.alias),
                 vec![root_id, inner_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else if let (true, Some(index)) = (use_index_nlj, inner_index) {
             // Residual = inner local predicates, compiled against the
             // concatenated schema.
@@ -557,9 +479,9 @@ pub fn plan_select_profiled(
                 inner_base.alias, current_rows
             ));
             let _ = offset;
-            let (op, id) = prof.wrap(
+            (root, root_id) = prof.wrap(
                 Box::new(IndexNestedLoopJoin::new(
-                    root.into_rows(),
+                    root,
                     ctx.heap_of(&inner_base.table)?,
                     index,
                     inner_base.arity,
@@ -570,96 +492,51 @@ pub fn plan_select_profiled(
                 format!("IndexNestedLoopJoin {}", inner_base.alias),
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else {
-            // Hash join, building on the estimated-smaller side. The
-            // batch hash join has no Grace spill path, so it is only
-            // picked when no memory budget is configured; otherwise the
-            // batch pipeline (if any) converts to rows here.
+            // Hash join, building on the estimated-smaller side.
             let (inner_plan, _, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
             let inner_schema = Schema(inner_base.columns.clone());
             let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
             schema.0.extend(inner_base.columns.iter().cloned());
-            let batch_join = ctx.forcing.executor == Executor::Batch && ctx.spill.budget.is_none();
             if est[cand] <= current_rows {
                 // Build on the new table, probe with the current plan.
                 explain.push(format!(
-                    "{}hash join {} (build inner {:.0} rows, probe {:.0})",
-                    if batch_join { "batch " } else { "" },
-                    inner_base.alias,
-                    est[cand],
-                    current_rows
+                    "hash join {} (build inner {:.0} rows, probe {:.0})",
+                    inner_base.alias, est[cand], current_rows
                 ));
-                if batch_join {
-                    let (op, id) = prof.wrap_batch(
-                        Box::new(BatchHashJoin::new(
-                            root.into_batches(),
-                            inner_plan.into_batches(),
-                            vec![outer_key],
-                            vec![inner_key],
-                            None,
-                            true,
-                        )),
-                        format!("BatchHashJoin {}", inner_base.alias),
-                        vec![root_id, inner_id],
-                    );
-                    (root, root_id) = (AnyOp::Batch(op), id);
-                } else {
-                    let (op, id) = prof.wrap(
-                        Box::new(HashJoin::with_spill(
-                            root.into_rows(),
-                            inner_plan.into_rows(),
-                            vec![outer_key],
-                            vec![inner_key],
-                            None,
-                            true,
-                            ctx.spill.clone(),
-                        )),
-                        format!("HashJoin {}", inner_base.alias),
-                        vec![root_id, inner_id],
-                    );
-                    (root, root_id) = (AnyOp::Row(op), id);
-                }
+                (root, root_id) = prof.wrap(
+                    Box::new(HashJoin::with_spill(
+                        root,
+                        inner_plan,
+                        vec![outer_key],
+                        vec![inner_key],
+                        None,
+                        true,
+                        ctx.spill.clone(),
+                    )),
+                    format!("HashJoin {}", inner_base.alias),
+                    vec![root_id, inner_id],
+                );
             } else {
                 // Build on the current (smaller) result, stream the new
                 // table as the probe side; output stays build ++ probe.
                 explain.push(format!(
-                    "{}hash join {} (build current {:.0} rows, probe inner {:.0})",
-                    if batch_join { "batch " } else { "" },
-                    inner_base.alias,
-                    current_rows,
-                    est[cand]
+                    "hash join {} (build current {:.0} rows, probe inner {:.0})",
+                    inner_base.alias, current_rows, est[cand]
                 ));
-                if batch_join {
-                    let (op, id) = prof.wrap_batch(
-                        Box::new(BatchHashJoin::new(
-                            inner_plan.into_batches(),
-                            root.into_batches(),
-                            vec![inner_key],
-                            vec![outer_key],
-                            None,
-                            false,
-                        )),
-                        format!("BatchHashJoin {}", inner_base.alias),
-                        vec![inner_id, root_id],
-                    );
-                    (root, root_id) = (AnyOp::Batch(op), id);
-                } else {
-                    let (op, id) = prof.wrap(
-                        Box::new(HashJoin::with_spill(
-                            inner_plan.into_rows(),
-                            root.into_rows(),
-                            vec![inner_key],
-                            vec![outer_key],
-                            None,
-                            false,
-                            ctx.spill.clone(),
-                        )),
-                        format!("HashJoin {}", inner_base.alias),
-                        vec![inner_id, root_id],
-                    );
-                    (root, root_id) = (AnyOp::Row(op), id);
-                }
+                (root, root_id) = prof.wrap(
+                    Box::new(HashJoin::with_spill(
+                        inner_plan,
+                        root,
+                        vec![inner_key],
+                        vec![outer_key],
+                        None,
+                        false,
+                        ctx.spill.clone(),
+                    )),
+                    format!("HashJoin {}", inner_base.alias),
+                    vec![inner_id, root_id],
+                );
             }
         }
         joined[cand] = true;
@@ -670,7 +547,8 @@ pub fn plan_select_profiled(
     for (_, e1, _, e2) in edges_left {
         let pred = AstExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(e1), rhs: Box::new(e2) };
         let compiled = compile(&pred, &schema, ctx.functions)?;
-        (root, root_id) = filter_any(root, root_id, compiled, "Filter (join edge)", prof);
+        (root, root_id) =
+            prof.wrap(Box::new(Filter::new(root, compiled)), "Filter (join edge)", vec![root_id]);
     }
 
     // ---- 5. lateral table functions + deferred predicates ---------------
@@ -682,12 +560,11 @@ pub fn plan_select_profiled(
         let input = compile(&args[0], &schema, ctx.functions)?;
         let tag = compile(&args[1], &schema, ctx.functions)?;
         explain.push(format!("lateral unnest {alias}"));
-        let (op, id) = prof.wrap(
-            Box::new(UnnestScan::new(root.into_rows(), input, tag)),
+        (root, root_id) = prof.wrap(
+            Box::new(UnnestScan::new(root, input, tag)),
             format!("UnnestScan {alias}"),
             vec![root_id],
         );
-        (root, root_id) = (AnyOp::Row(op), id);
         schema.0.push(Binding { alias: alias.clone(), column: "out".into(), ty: DataType::Xadt });
         (root, root_id) =
             apply_ready_preds(root, root_id, &mut pending, &schema, ctx.functions, prof)?;
@@ -757,31 +634,20 @@ pub fn plan_select_profiled(
             group_exprs.len(),
             aggs.len()
         ));
-        let (op, id) = prof.wrap(
-            Box::new(HashAggregate::with_spill(
-                root.into_rows(),
-                group_exprs,
-                aggs,
-                ctx.spill.clone(),
-            )),
+        (root, root_id) = prof.wrap(
+            Box::new(HashAggregate::with_spill(root, group_exprs, aggs, ctx.spill.clone())),
             "HashAggregate",
             vec![root_id],
         );
-        (root, root_id) = (AnyOp::Row(op), id);
         if !sort_keys.is_empty() {
-            let (op, id) = prof.wrap(
-                Box::new(Sort::with_spill(root.into_rows(), sort_keys, ctx.spill.clone())),
+            (root, root_id) = prof.wrap(
+                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         }
-        let (op, id) = prof.wrap(
-            Box::new(Project::new(root.into_rows(), out_exprs)),
-            "Project",
-            vec![root_id],
-        );
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) =
+            prof.wrap(Box::new(Project::new(root, out_exprs)), "Project", vec![root_id]);
     } else {
         // Plain projection.
         let mut out_exprs = Vec::new();
@@ -804,29 +670,14 @@ pub fn plan_select_profiled(
             for (e, asc) in &q.order_by {
                 sort_keys.push(SortKey { expr: compile(e, &schema, ctx.functions)?, asc: *asc });
             }
-            let (op, id) = prof.wrap(
-                Box::new(Sort::with_spill(root.into_rows(), sort_keys, ctx.spill.clone())),
+            (root, root_id) = prof.wrap(
+                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         }
-        // Projection stays vectorized when its input is a batch subtree.
-        match root {
-            AnyOp::Batch(op) => {
-                let (op, id) = prof.wrap_batch(
-                    Box::new(BatchProject::new(op, out_exprs)),
-                    "BatchProject",
-                    vec![root_id],
-                );
-                (root, root_id) = (AnyOp::Batch(op), id);
-            }
-            AnyOp::Row(op) => {
-                let (op, id) =
-                    prof.wrap(Box::new(Project::new(op, out_exprs)), "Project", vec![root_id]);
-                (root, root_id) = (AnyOp::Row(op), id);
-            }
-        }
+        (root, root_id) =
+            prof.wrap(Box::new(Project::new(root, out_exprs)), "Project", vec![root_id]);
     }
 
     if q.distinct {
@@ -835,24 +686,19 @@ pub fn plan_select_profiled(
         // partitioned keys out of order, so only an unordered DISTINCT
         // gets the budget-bounded variant.
         let distinct: BoxOp = if q.order_by.is_empty() {
-            Box::new(Distinct::with_spill(root.into_rows(), ctx.spill.clone()))
+            Box::new(Distinct::with_spill(root, ctx.spill.clone()))
         } else {
-            Box::new(Distinct::new(root.into_rows()))
+            Box::new(Distinct::new(root))
         };
-        let (op, id) = prof.wrap(distinct, "Distinct", vec![root_id]);
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) = prof.wrap(distinct, "Distinct", vec![root_id]);
     }
     if let Some(n) = q.limit {
-        let (op, id) = prof.wrap(
-            Box::new(Limit::new(root.into_rows(), n)),
-            format!("Limit {n}"),
-            vec![root_id],
-        );
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) =
+            prof.wrap(Box::new(Limit::new(root, n)), format!("Limit {n}"), vec![root_id]);
     }
     let _ = root_id;
 
-    Ok(PhysicalPlan { root: root.into_rows(), columns, explain })
+    Ok(PhysicalPlan { root, columns, explain })
 }
 
 /// Compile an expression against a single table's schema (used by
@@ -911,18 +757,19 @@ fn schema_has_alias(schema: &Schema, alias: &str) -> bool {
 
 /// Apply every pending predicate whose aliases are all in `schema`.
 fn apply_ready_preds(
-    mut root: AnyOp,
+    mut root: BoxOp,
     mut root_id: usize,
     pending: &mut Vec<(Vec<String>, AstExpr)>,
     schema: &Schema,
     fns: &FunctionRegistry,
     prof: &mut Profiler,
-) -> Result<(AnyOp, usize)> {
+) -> Result<(BoxOp, usize)> {
     let mut remaining = Vec::new();
     for (aliases, pred) in pending.drain(..) {
         if aliases.iter().all(|a| schema_has_alias(schema, a)) {
             let compiled = compile(&pred, schema, fns)?;
-            (root, root_id) = filter_any(root, root_id, compiled, "Filter", prof);
+            (root, root_id) =
+                prof.wrap(Box::new(Filter::new(root, compiled)), "Filter", vec![root_id]);
         } else {
             remaining.push((aliases, pred));
         }
@@ -951,7 +798,7 @@ fn build_scan(
     base: &BaseRef,
     preds: Option<&Vec<AstExpr>>,
     prof: &mut Profiler,
-) -> Result<(AnyOp, String, usize)> {
+) -> Result<(BoxOp, String, usize)> {
     let heap = ctx.heap_of(&base.table)?;
     let table_schema = Schema(base.columns.clone());
     let empty = Vec::new();
@@ -986,7 +833,7 @@ fn build_scan(
         }
     }
 
-    let (mut op, desc, mut op_id): (AnyOp, String, usize) = match chosen {
+    let (op, desc): (BoxOp, String) = match chosen {
         Some((tree, value, cmp)) => {
             let key = encode_key(std::slice::from_ref(&value));
             let snap = ctx.snapshot.clone();
@@ -1002,25 +849,14 @@ fn build_scan(
                 }
                 CmpOp::Ne => unreachable!("filtered above"),
             };
-            let desc = format!("IndexScan({cmp})");
-            let (op, id) = prof.wrap(Box::new(scan), format!("{desc} {}", base.alias), vec![]);
-            (AnyOp::Row(op), desc, id)
+            (Box::new(scan), format!("IndexScan({cmp})"))
         }
-        // Batch executor: sequential scans vectorize — one pool fetch per
-        // page, residual predicates below become selection-vector
-        // refinements. Index paths (above) stay on the row executor.
-        None if ctx.forcing.executor == Executor::Batch => {
-            let scan = BatchSeqScan::new(heap, base.arity, ctx.snapshot.clone());
-            let (op, id) =
-                prof.wrap_batch(Box::new(scan), format!("BatchSeqScan {}", base.alias), vec![]);
-            (AnyOp::Batch(op), "BatchSeqScan".into(), id)
-        }
-        None => {
-            let scan = SeqScan::new(heap, base.arity, ctx.snapshot.clone());
-            let (op, id) = prof.wrap(Box::new(scan), format!("SeqScan {}", base.alias), vec![]);
-            (AnyOp::Row(op), "SeqScan".into(), id)
-        }
+        None => (
+            Box::new(SeqScan::new(heap, base.arity, ctx.snapshot.clone())) as BoxOp,
+            "SeqScan".into(),
+        ),
     };
+    let (mut op, mut op_id) = prof.wrap(op, format!("{desc} {}", base.alias), vec![]);
 
     // Residual local predicates (all of them except a consumed equality —
     // range probes keep their predicate as a residual for exactness).
@@ -1035,7 +871,7 @@ fn build_scan(
         .collect();
     for p in residual {
         let compiled = compile(p, &table_schema, ctx.functions)?;
-        (op, op_id) = filter_any(op, op_id, compiled, "Filter", prof);
+        (op, op_id) = prof.wrap(Box::new(Filter::new(op, compiled)), "Filter", vec![op_id]);
     }
     Ok((op, desc, op_id))
 }

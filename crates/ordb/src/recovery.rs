@@ -232,13 +232,10 @@ mod tests {
     use super::*;
     use crate::storage::page::Page;
     use crate::storage::wal::Wal;
-    use std::path::PathBuf;
+    use crate::tempdir::TempDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ordb-rec-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("ordb-rec-{tag}")).unwrap()
     }
 
     fn logged_page(wal: &Wal, file: u32, pid: u32, payload: &[u8]) -> Page {
@@ -275,7 +272,6 @@ mod tests {
         let again = recover(&dir).unwrap().unwrap();
         assert_eq!(again.replayed_pages, 0);
         assert_eq!(again.skipped_pages, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -291,7 +287,6 @@ mod tests {
         assert_eq!(report.replayed_pages, 1, "one page, latest image only");
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &newer.bytes()[..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -311,7 +306,6 @@ mod tests {
         assert_eq!(report.replayed_pages, 1, "torn page must not be skipped");
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &good.bytes()[..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -334,7 +328,6 @@ mod tests {
         assert_eq!(report.skipped_pages, 1);
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &newer.bytes()[..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -387,7 +380,6 @@ mod tests {
         let again = undo_uncommitted(&dir, &[1]).unwrap();
         assert_eq!(again.versions_stamped_dead, 0);
         assert_eq!(again.xmax_cleared, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -420,7 +412,6 @@ mod tests {
         let q = Page::from_bytes(raw);
         assert_eq!(u64::from_le_bytes(q.get(0).unwrap()[0..8].try_into().unwrap()), 9);
         assert_eq!(u64::from_le_bytes(q.get(1).unwrap()[0..8].try_into().unwrap()), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -442,6 +433,5 @@ mod tests {
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(raw.len(), PAGE_SIZE, "second page never existed");
         assert_eq!(&raw[..PAGE_SIZE], &keep.bytes()[..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

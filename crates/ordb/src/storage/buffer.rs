@@ -728,11 +728,10 @@ fn file_of(files: &HashMap<FileId, PageFile>, id: FileId) -> Result<&PageFile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ordb-buf-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("ordb-buf-{tag}")).unwrap()
     }
 
     #[test]
@@ -893,7 +892,6 @@ mod tests {
     fn checksum_mismatch_surfaces_as_corrupt() {
         let dir = temp_dir("crc");
         let path = dir.join("crc.db");
-        let _ = std::fs::remove_file(&path);
         let pool = BufferPool::new(16);
         pool.register_file(1, path.clone()).unwrap();
         let (pid, frame) = pool.allocate(1).unwrap();
@@ -948,7 +946,6 @@ mod tests {
             assert!(f.page.lock().checksum_ok() || f.page.lock().lsn() == 0);
         }
         pool.set_wal(None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

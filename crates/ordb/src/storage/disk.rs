@@ -138,13 +138,12 @@ impl PageFile {
 mod tests {
     use super::*;
     use crate::storage::fault::{CrashMode, FaultPlan, FaultScope};
+    use crate::tempdir::TempDir;
 
     #[test]
     fn allocate_read_write() {
-        let dir = std::env::temp_dir().join(format!("ordb-disk-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("ordb-disk-test").unwrap();
         let path = dir.join("t.db");
-        let _ = std::fs::remove_file(&path);
         {
             let mut f = PageFile::open(&path).unwrap();
             assert_eq!(f.page_count(), 0);
@@ -167,15 +166,12 @@ mod tests {
             f.read_page(0, &mut buf).unwrap();
             assert_eq!(buf[0], 0);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn injected_crash_fails_writes_and_sync() {
-        let dir = std::env::temp_dir().join(format!("ordb-disk-fault-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("ordb-disk-fault").unwrap();
         let path = dir.join("t.db");
-        let _ = std::fs::remove_file(&path);
         let inj = FaultInjector::new();
         let mut f = PageFile::open_faulted(&path, Some(inj.clone())).unwrap();
         let pid = f.allocate().unwrap();
@@ -194,15 +190,12 @@ mod tests {
         assert!(back.iter().all(|&b| b == 0));
         inj.disarm();
         assert!(f.write_page(pid, &buf).is_ok());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_write_leaves_partial_page() {
-        let dir = std::env::temp_dir().join(format!("ordb-disk-tear-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("ordb-disk-tear").unwrap();
         let path = dir.join("t.db");
-        let _ = std::fs::remove_file(&path);
         let inj = FaultInjector::new();
         let mut f = PageFile::open_faulted(&path, Some(inj.clone())).unwrap();
         let pid = f.allocate().unwrap();
@@ -222,6 +215,5 @@ mod tests {
         // Torn prefix is contiguous from the start.
         assert!(back[..written].iter().all(|&b| b == 0xEE));
         assert!(back[written..].iter().all(|&b| b == 0));
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -22,7 +22,7 @@
 //! trailer across [`Page::reinit`] so WAL redo ordering still applies
 //! when they are recycled.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -417,25 +417,35 @@ impl HeapFile {
     /// reclaimed by vacuum without index bookkeeping (the open-time sweep
     /// already removed their index entries).
     pub fn stamped_dead_rids(&self) -> Result<Vec<Rid>> {
-        let pages = self.page_count()?;
         let mut out = Vec::new();
-        for pid in 0..pages {
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            for slot in 0..page.slot_count() {
-                if let Some(raw) = page.get(slot) {
-                    if raw.len() >= VERSION_HEADER
-                        && u64::from_le_bytes(raw[0..8].try_into().unwrap()) == 0
-                    {
-                        out.push(Rid { page: pid, slot: rid_slot(slot)? });
-                    }
+        for pid in 0..self.page_count()? {
+            self.for_each_slot(pid, |rid, raw| {
+                if raw.len() >= VERSION_HEADER
+                    && u64::from_le_bytes(raw[0..8].try_into().unwrap()) == 0
+                {
+                    out.push(rid);
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(out)
+    }
+
+    /// Call `f(rid, record)` for every occupied slot of page `pid`, in
+    /// slot order, under a single pool fetch and page latch. Pages that
+    /// are not data pages have no slots to visit.
+    fn for_each_slot(&self, pid: u32, mut f: impl FnMut(Rid, &[u8]) -> Result<()>) -> Result<()> {
+        let frame = self.pool.fetch(self.file, pid)?;
+        let page = frame.page.lock();
+        if !is_data_page(&page) {
+            return Ok(());
+        }
+        for slot in 0..page.slot_count() {
+            if let Some(raw) = page.get(slot) {
+                f(Rid { page: pid, slot: rid_slot(slot)? }, raw)?;
+            }
+        }
+        Ok(())
     }
 
     /// Post-crash convergence pass, run by `Database::open` after a
@@ -463,19 +473,15 @@ impl HeapFile {
         // chain could point back into the data page we are scanning.
         let mut stubs: Vec<(Rid, u32, usize)> = Vec::new();
         for pid in 0..pages {
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            for slot in 0..page.slot_count() {
-                let Some(raw) = page.get(slot) else { continue };
-                let Ok((_, _, payload)) = split_version(raw) else { continue };
-                if is_stub(payload) {
-                    let (first, total) = stub_target(payload);
-                    stubs.push((Rid { page: pid, slot: rid_slot(slot)? }, first, total));
+            self.for_each_slot(pid, |rid, raw| {
+                if let Ok((_, _, payload)) = split_version(raw) {
+                    if is_stub(payload) {
+                        let (first, total) = stub_target(payload);
+                        stubs.push((rid, first, total));
+                    }
                 }
-            }
+                Ok(())
+            })?;
         }
         let mut reachable: BTreeSet<u32> = BTreeSet::new();
         let mut purged = 0u64;
@@ -760,54 +766,13 @@ impl HeapFile {
         Ok(xmin != 0 && is_stub(payload) && stub_target(payload) == (first, total))
     }
 
-    /// Visit every non-dead version in file order: `f(version)`.
-    /// Versions stamped dead by recovery (`xmin == 0`) are skipped.
-    pub fn scan(&self, mut f: impl FnMut(Version) -> Result<bool>) -> Result<()> {
-        let pages = self.page_count()?;
-        for pid in 0..pages {
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            let n = page.slot_count();
-            // Collect records, deferring overflow resolution until the
-            // page lock is released.
-            enum Pending {
-                Direct(Vec<u8>),
-                Overflow { first: u32, total: usize },
-            }
-            let mut pending: Vec<(u16, u64, u64, Pending)> = Vec::new();
-            for slot in 0..n {
-                if let Some(raw) = page.get(slot) {
-                    let (xmin, xmax, payload) = split_version(raw)?;
-                    if xmin == 0 {
-                        continue;
-                    }
-                    if is_stub(payload) {
-                        let (first, total) = stub_target(payload);
-                        pending.push((slot as u16, xmin, xmax, Pending::Overflow { first, total }));
-                    } else {
-                        pending.push((slot as u16, xmin, xmax, Pending::Direct(payload.to_vec())));
-                    }
-                }
-            }
-            drop(page);
-            for (slot, xmin, xmax, rec) in pending {
-                let rid = Rid { page: pid, slot };
-                let body = match rec {
-                    Pending::Direct(b) => b,
-                    Pending::Overflow { first, total } => {
-                        match self.resolve_stub(rid, first, total)? {
-                            Some(b) => b,
-                            // Physically removed while we read; skip it.
-                            None => continue,
-                        }
-                    }
-                };
-                if !f(Version { rid, xmin, xmax, body })? {
-                    return Ok(());
-                }
+    /// Visit every non-dead version in file order until `f` returns
+    /// `false` — a loop over a [`HeapCursor`].
+    pub fn scan(self: &Arc<Self>, mut f: impl FnMut(Version) -> Result<bool>) -> Result<()> {
+        let mut cursor = HeapCursor::new(self.clone());
+        while let Some(v) = cursor.next()? {
+            if !f(v)? {
+                break;
             }
         }
         Ok(())
@@ -815,7 +780,7 @@ impl HeapFile {
 
     /// Total non-dead versions (scans the file; includes versions with a
     /// pending or committed delete claim).
-    pub fn count(&self) -> Result<u64> {
+    pub fn count(self: &Arc<Self>) -> Result<u64> {
         let mut n = 0;
         self.scan(|_| {
             n += 1;
@@ -825,139 +790,77 @@ impl HeapFile {
     }
 }
 
-/// Pull-style cursor over a heap file yielding non-dead versions.
-/// Resolves overflow stubs. Owns its heap handle so operators can store
-/// it without self-references.
+/// A collected version's body: copied off its page, or still behind an
+/// overflow stub.
+enum Body {
+    Inline(Vec<u8>),
+    Overflow { first: u32, total: usize },
+}
+
+/// Pull cursor over a heap file yielding non-dead versions in file order
+/// (versions stamped dead by recovery, `xmin == 0`, are skipped). It
+/// reads a page at a time: one buffer-pool fetch and latch collects
+/// every version of a data page, and the versions are then handed out
+/// from the cursor's buffer. Overflow stubs are resolved as they are
+/// handed out, with no page latch held. Owns its heap handle so
+/// operators can store it without self-references.
 pub struct HeapCursor {
     heap: Arc<HeapFile>,
+    /// Next page to collect.
     page: u32,
-    slot: usize,
-    page_kind_known: bool,
-    is_data: bool,
+    /// Versions of the last collected page not yet handed out.
+    buffered: VecDeque<(Rid, u64, u64, Body)>,
 }
 
 impl HeapCursor {
-    /// Open a cursor at the start of `heap`.
+    /// Open a cursor at the start of `heap`. Does no I/O until the first
+    /// [`HeapCursor::next`].
     pub fn new(heap: Arc<HeapFile>) -> HeapCursor {
-        HeapCursor { heap, page: 0, slot: 0, page_kind_known: false, is_data: false }
+        HeapCursor { heap, page: 0, buffered: VecDeque::new() }
     }
 
     /// Next version, or `None` at end of file.
     #[allow(clippy::should_implement_trait)] // fallible iterator
     pub fn next(&mut self) -> Result<Option<Version>> {
         loop {
-            let pages = self.heap.page_count()?;
-            if self.page >= pages {
-                return Ok(None);
-            }
-            let frame = self.heap.pool.fetch(self.heap.file, self.page)?;
-            let page = frame.page.lock();
-            if !self.page_kind_known {
-                self.is_data = is_data_page(&page);
-                self.page_kind_known = true;
-            }
-            if !self.is_data || self.slot >= page.slot_count() {
-                drop(page);
-                self.page += 1;
-                self.slot = 0;
-                self.page_kind_known = false;
+            let Some((rid, xmin, xmax, body)) = self.buffered.pop_front() else {
+                if self.page >= self.heap.page_count()? {
+                    return Ok(None);
+                }
+                self.collect_page()?;
                 continue;
-            }
-            let slot = self.slot;
-            self.slot += 1;
-            let Some(raw) = page.get(slot) else { continue };
+            };
+            let body = match body {
+                Body::Inline(b) => b,
+                Body::Overflow { first, total } => {
+                    match self.heap.resolve_stub(rid, first, total)? {
+                        Some(b) => b,
+                        // Physically removed since the page was read.
+                        None => continue,
+                    }
+                }
+            };
+            return Ok(Some(Version { rid, xmin, xmax, body }));
+        }
+    }
+
+    /// Buffer every non-dead version of the next page.
+    fn collect_page(&mut self) -> Result<()> {
+        let pid = self.page;
+        self.page += 1;
+        self.heap.for_each_slot(pid, |rid, raw| {
             let (xmin, xmax, payload) = split_version(raw)?;
-            if xmin == 0 {
-                continue;
-            }
-            let rid = Rid { page: self.page, slot: slot as u16 };
-            if is_stub(payload) {
-                let (first, total) = stub_target(payload);
-                drop(page);
-                match self.heap.resolve_stub(rid, first, total)? {
-                    Some(body) => return Ok(Some(Version { rid, xmin, xmax, body })),
-                    // Physically removed while we read; move on.
-                    None => continue,
-                }
-            }
-            return Ok(Some(Version { rid, xmin, xmax, body: payload.to_vec() }));
-        }
-    }
-}
-
-/// Page-at-a-time pull cursor over a heap file: each call returns every
-/// non-dead version of one data page, costing a single buffer-pool fetch
-/// per page instead of one per row. Overflow stubs are resolved after the
-/// page latch is dropped, exactly like [`HeapFile::scan`]. Feeds the
-/// vectorized executor's batched sequential scan.
-pub struct PageCursor {
-    heap: Arc<HeapFile>,
-    page: u32,
-}
-
-impl PageCursor {
-    /// Open a cursor at the start of `heap`.
-    pub fn new(heap: Arc<HeapFile>) -> PageCursor {
-        PageCursor { heap, page: 0 }
-    }
-
-    /// All non-dead versions of the next data page, or `None` at end of
-    /// file. Never returns an empty vector: pages with no live versions
-    /// are skipped.
-    #[allow(clippy::should_implement_trait)] // fallible iterator
-    pub fn next(&mut self) -> Result<Option<Vec<Version>>> {
-        enum Pending {
-            Direct(Vec<u8>),
-            Overflow { first: u32, total: usize },
-        }
-        loop {
-            let pages = self.heap.page_count()?;
-            if self.page >= pages {
-                return Ok(None);
-            }
-            let pid = self.page;
-            self.page += 1;
-            let frame = self.heap.pool.fetch(self.heap.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            let n = page.slot_count();
-            let mut pending: Vec<(u16, u64, u64, Pending)> = Vec::new();
-            for slot in 0..n {
-                if let Some(raw) = page.get(slot) {
-                    let (xmin, xmax, payload) = split_version(raw)?;
-                    if xmin == 0 {
-                        continue;
-                    }
-                    if is_stub(payload) {
-                        let (first, total) = stub_target(payload);
-                        pending.push((slot as u16, xmin, xmax, Pending::Overflow { first, total }));
-                    } else {
-                        pending.push((slot as u16, xmin, xmax, Pending::Direct(payload.to_vec())));
-                    }
-                }
-            }
-            drop(page);
-            let mut out = Vec::with_capacity(pending.len());
-            for (slot, xmin, xmax, rec) in pending {
-                let rid = Rid { page: pid, slot };
-                let body = match rec {
-                    Pending::Direct(b) => b,
-                    Pending::Overflow { first, total } => {
-                        match self.heap.resolve_stub(rid, first, total)? {
-                            Some(b) => b,
-                            // Physically removed while we read; skip it.
-                            None => continue,
-                        }
-                    }
+            if xmin != 0 {
+                let body = if is_stub(payload) {
+                    let (first, total) = stub_target(payload);
+                    Body::Overflow { first, total }
+                } else {
+                    Body::Inline(payload.to_vec())
                 };
-                out.push(Version { rid, xmin, xmax, body });
+                self.buffered.push_back((rid, xmin, xmax, body));
             }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
+            Ok(())
+        })
     }
 }
 
@@ -1001,23 +904,23 @@ fn overflow_body_mut(p: &mut Page) -> &mut [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
     /// Transaction id used by tests that don't exercise versioning.
     const XMIN: u64 = 2;
 
-    fn heap(tag: &str) -> HeapFile {
-        let dir = std::env::temp_dir().join(format!("ordb-heap-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.db");
-        let _ = std::fs::remove_file(&path);
+    /// A heap in a fresh directory; keep the [`TempDir`] alive while
+    /// the heap is in use.
+    fn heap(tag: &str) -> (TempDir, Arc<HeapFile>) {
+        let dir = TempDir::new(&format!("ordb-heap-{tag}")).unwrap();
         let pool = Arc::new(BufferPool::new(16));
-        pool.register_file(1, path).unwrap();
-        HeapFile::new(pool, 1)
+        pool.register_file(1, dir.join("h.db")).unwrap();
+        (dir, Arc::new(HeapFile::new(pool, 1)))
     }
 
     #[test]
     fn insert_get_roundtrip() {
-        let h = heap("basic");
+        let (_dir, h) = heap("basic");
         let r1 = h.insert(b"alpha", XMIN).unwrap();
         let r2 = h.insert(b"beta", XMIN).unwrap();
         assert_eq!(h.get(r1).unwrap(), b"alpha");
@@ -1028,7 +931,7 @@ mod tests {
 
     #[test]
     fn many_records_spill_to_new_pages() {
-        let h = heap("spill");
+        let (_dir, h) = heap("spill");
         let rec = vec![9u8; 500];
         let rids: Vec<Rid> = (0..100).map(|_| h.insert(&rec, XMIN).unwrap()).collect();
         assert!(h.page_count().unwrap() > 5);
@@ -1040,7 +943,7 @@ mod tests {
 
     #[test]
     fn overflow_round_trip() {
-        let h = heap("ovf");
+        let (_dir, h) = heap("ovf");
         let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         let rid = h.insert(&big, XMIN).unwrap();
         assert_eq!(h.get(rid).unwrap(), big);
@@ -1058,7 +961,7 @@ mod tests {
 
     #[test]
     fn scan_sees_all_records_once() {
-        let h = heap("scan");
+        let (_dir, h) = heap("scan");
         let mut expected = Vec::new();
         for i in 0..50u32 {
             let rec = i.to_le_bytes().to_vec();
@@ -1082,43 +985,30 @@ mod tests {
 
     #[test]
     fn page_cursor_matches_row_cursor() {
-        let h = heap("pagecur");
-        let mut expected = Vec::new();
-        for i in 0..200u32 {
-            let rec = vec![(i % 251) as u8; 64 + (i as usize % 300)];
-            h.insert(&rec, XMIN).unwrap();
-            expected.push(rec);
-        }
-        // Overflow record: stub resolution must work page-at-a-time too.
-        let big = vec![3u8; 25_000];
-        h.insert(&big, XMIN).unwrap();
-        expected.push(big);
-        let heap = Arc::new(h);
-        let mut cursor = PageCursor::new(heap.clone());
+        // The cursor reads a page at a time: it must yield exactly what
+        // per-row point reads yield, in file order, for one pool fetch
+        // per page.
+        let (_dir, h) = heap("pagecur");
+        let rids: Vec<Rid> = (0..200u32)
+            .map(|i| h.insert(&vec![(i % 251) as u8; 64 + (i as usize % 300)], XMIN).unwrap())
+            .collect();
+        h.pool.take_stats();
+        let mut cursor = HeapCursor::new(h.clone());
         let mut seen = Vec::new();
-        let mut pages = 0;
-        while let Some(batch) = cursor.next().unwrap() {
-            assert!(!batch.is_empty());
-            pages += 1;
-            seen.extend(batch.into_iter().map(|v| v.body));
+        while let Some(v) = cursor.next().unwrap() {
+            seen.push(v);
         }
-        // Same rows, same file order as the row-at-a-time cursor.
-        let mut row_cursor = HeapCursor::new(heap.clone());
-        let mut row_seen = Vec::new();
-        while let Some(v) = row_cursor.next().unwrap() {
-            row_seen.push(v.body);
-        }
-        assert_eq!(seen, row_seen);
-        seen.sort();
-        expected.sort();
-        assert_eq!(seen, expected);
-        // One batch per data page, far fewer than rows.
-        assert!(pages > 1 && pages < 201, "pages = {pages}");
+        let pages = u64::from(h.page_count().unwrap());
+        assert!(pages > 1);
+        assert_eq!(h.pool.take_stats().fetches(), pages, "one fetch per page");
+        let point: Vec<Version> =
+            rids.iter().map(|&rid| h.get_versioned(rid).unwrap().unwrap()).collect();
+        assert_eq!(seen, point);
     }
 
     #[test]
     fn scan_early_exit() {
-        let h = heap("exit");
+        let (_dir, h) = heap("exit");
         for i in 0..10u32 {
             h.insert(&i.to_le_bytes(), XMIN).unwrap();
         }
@@ -1133,7 +1023,7 @@ mod tests {
 
     #[test]
     fn claim_xmax_first_updater_wins() {
-        let h = heap("claim");
+        let (_dir, h) = heap("claim");
         let rid = h.insert(b"row", 2).unwrap();
         assert_eq!(h.try_claim_xmax(rid, 5).unwrap(), ClaimOutcome::Claimed);
         assert_eq!(h.try_claim_xmax(rid, 5).unwrap(), ClaimOutcome::OwnedBySelf);
@@ -1147,7 +1037,7 @@ mod tests {
 
     #[test]
     fn deleted_and_missing_slots_read_as_gone() {
-        let h = heap("gone");
+        let (_dir, h) = heap("gone");
         let rid = h.insert(b"row", 2).unwrap();
         assert!(h.delete(rid).unwrap());
         assert!(h.get_versioned(rid).unwrap().is_none());
@@ -1171,7 +1061,7 @@ mod tests {
 
     #[test]
     fn cyclic_overflow_chain_is_corrupt_not_hang() {
-        let h = heap("cycle");
+        let (_dir, h) = heap("cycle");
         let big = vec![4u8; 2 * OVF_CAPACITY];
         let rid = h.insert(&big, XMIN).unwrap();
         let (first, _) = stub_of(&h, rid);
@@ -1193,7 +1083,7 @@ mod tests {
 
     #[test]
     fn oversized_overflow_len_is_corrupt() {
-        let h = heap("ovlen");
+        let (_dir, h) = heap("ovlen");
         let big = vec![5u8; OVF_CAPACITY + 10];
         let rid = h.insert(&big, XMIN).unwrap();
         let (first, _) = stub_of(&h, rid);
@@ -1213,7 +1103,7 @@ mod tests {
 
     #[test]
     fn lying_stub_total_is_corrupt() {
-        let h = heap("ovtotal");
+        let (_dir, h) = heap("ovtotal");
         let big = vec![6u8; 2 * OVF_CAPACITY];
         let rid = h.insert(&big, XMIN).unwrap();
         let set_total = |total: u32| {
@@ -1240,7 +1130,7 @@ mod tests {
 
     #[test]
     fn churn_reuses_slots_and_pages() {
-        let h = heap("churn");
+        let (_dir, h) = heap("churn");
         let rec = vec![8u8; 500];
         let mut rids: Vec<Rid> = (0..64).map(|_| h.insert(&rec, XMIN).unwrap()).collect();
         let pages = h.page_count().unwrap();
@@ -1259,7 +1149,7 @@ mod tests {
 
     #[test]
     fn delete_frees_overflow_chain_for_reuse() {
-        let h = heap("ovf-free");
+        let (_dir, h) = heap("ovf-free");
         let big = vec![3u8; 3 * OVF_CAPACITY + 10];
         let rid = h.insert(&big, XMIN).unwrap();
         let pages = h.page_count().unwrap();
@@ -1273,12 +1163,9 @@ mod tests {
 
     #[test]
     fn fsm_rebuilds_from_disk_after_reopen() {
-        let dir = std::env::temp_dir().join(format!("ordb-heap-fsmscan-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.db");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("ordb-heap-fsmscan").unwrap();
         let pool = Arc::new(BufferPool::new(16));
-        pool.register_file(1, path).unwrap();
+        pool.register_file(1, dir.join("h.db")).unwrap();
         let rec = vec![7u8; 600];
         let h = HeapFile::new(pool.clone(), 1);
         let rids: Vec<Rid> = (0..32).map(|_| h.insert(&rec, XMIN).unwrap()).collect();
@@ -1298,7 +1185,7 @@ mod tests {
 
     #[test]
     fn stamped_dead_rids_found_and_reclaimable() {
-        let h = heap("stamped");
+        let (_dir, h) = heap("stamped");
         let a = h.insert(b"a", XMIN).unwrap();
         let b = h.insert(b"b", XMIN).unwrap();
         {

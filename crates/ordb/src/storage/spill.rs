@@ -243,12 +243,11 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
-    fn manager(tag: &str) -> (Arc<SpillManager>, PathBuf) {
-        let dir =
-            std::env::temp_dir().join(format!("ordb-spill-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        (Arc::new(SpillManager::new(&dir)), dir)
+    fn manager(tag: &str) -> (Arc<SpillManager>, TempDir) {
+        let dir = TempDir::new(&format!("ordb-spill-test-{tag}")).unwrap();
+        (Arc::new(SpillManager::new(dir.path())), dir)
     }
 
     fn row(i: i64) -> Row {
@@ -257,7 +256,7 @@ mod tests {
 
     #[test]
     fn rows_round_trip_in_order() {
-        let (m, dir) = manager("roundtrip");
+        let (m, _dir) = manager("roundtrip");
         let mut w = m.create().unwrap();
         for i in 0..100 {
             w.add(&row(i)).unwrap();
@@ -271,35 +270,32 @@ mod tests {
         assert_eq!(r.next().unwrap(), None);
         drop(f);
         assert_eq!(m.live_files(), 0);
-        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn sealed_file_is_deleted_on_drop() {
-        let (m, dir) = manager("drop");
+        let (m, _dir) = manager("drop");
         let mut w = m.create().unwrap();
         w.add(&[Value::Int(7)]).unwrap();
         let f = w.finish().unwrap();
         assert_eq!(m.live_files(), 1);
         drop(f);
         assert_eq!(m.live_files(), 0);
-        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn unfinished_writer_cleans_up() {
-        let (m, dir) = manager("abort");
+        let (m, _dir) = manager("abort");
         let mut w = m.create().unwrap();
         w.add(&[Value::Int(1)]).unwrap();
         assert_eq!(m.live_files(), 1);
         drop(w); // simulated error path: never finished
         assert_eq!(m.live_files(), 0);
-        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn file_can_be_read_twice() {
-        let (m, dir) = manager("reread");
+        let (m, _dir) = manager("reread");
         let mut w = m.create().unwrap();
         w.add(&[Value::str("x")]).unwrap();
         let f = w.finish().unwrap();
@@ -308,6 +304,5 @@ mod tests {
             assert_eq!(r.next().unwrap(), Some(vec![Value::str("x")]));
             assert_eq!(r.next().unwrap(), None);
         }
-        let _ = fs::remove_dir_all(dir);
     }
 }

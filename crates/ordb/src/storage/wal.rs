@@ -548,12 +548,10 @@ pub fn dump(path: &Path) -> Result<String> {
 mod tests {
     use super::*;
     use crate::storage::fault::{CrashMode, FaultPlan, FaultScope};
+    use crate::tempdir::TempDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ordb-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("ordb-wal-{tag}")).unwrap()
     }
 
     #[test]
@@ -572,7 +570,6 @@ mod tests {
         assert_eq!(rec.payload, p.bytes());
         assert!(reader.next_record().is_none());
         assert_eq!(reader.remaining(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -601,7 +598,6 @@ mod tests {
             let lsn = wal.log_page(1, 3, &mut p);
             assert!(lsn > highest, "checkpoint must carry the cursor forward");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -630,7 +626,6 @@ mod tests {
         let mut reader = WalReader::open(&path).unwrap();
         assert_eq!(reader.next_record().unwrap().pid, 1);
         assert_eq!(reader.next_record().unwrap().pid, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -649,7 +644,6 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let mut reader = WalReader::open(&path).unwrap();
         assert!(reader.next_record().is_none(), "corrupt first record stops the scan");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -667,7 +661,6 @@ mod tests {
         // LSN 0 (never-logged page) needs nothing.
         wal.ensure_durable(0).unwrap();
         assert_eq!(wal.stats().since(&before).fsyncs, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -686,7 +679,6 @@ mod tests {
         let rec = reader.next_record().unwrap();
         assert_eq!(rec.kind, REC_CHECKPOINT);
         assert!(reader.next_record().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -714,7 +706,6 @@ mod tests {
         // An empty re-log list truncates to exactly one record.
         wal.checkpoint_truncate_with(&[]).unwrap();
         assert_eq!(wal.len_bytes(), record_size(0) as u64);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -753,7 +744,6 @@ mod tests {
         // Accounting holds: each sync_group either led a flush or was
         // saved one.
         assert_eq!(stats.group_commits + stats.fsyncs_saved, total);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -770,7 +760,6 @@ mod tests {
             seed: 5,
         });
         assert!(wal.sync().is_err(), "crashing WAL write must surface");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -802,7 +791,6 @@ mod tests {
         let mut p = Page::new();
         let lsn = wal.log_page(1, 99, &mut p);
         assert!(lsn > highest, "cursor must survive the crashed truncation ({lsn} <= {highest})");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -834,6 +822,5 @@ mod tests {
         }
         assert_eq!(n, 200);
         assert_eq!(reader.remaining(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

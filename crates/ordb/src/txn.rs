@@ -438,6 +438,7 @@ pub fn read_txn_meta(dir: &Path) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
     #[test]
     fn own_writes_visible_concurrent_invisible() {
@@ -545,11 +546,9 @@ mod tests {
 
     #[test]
     fn txn_meta_round_trip() {
-        let dir = std::env::temp_dir().join(format!("txnmeta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("txnmeta").unwrap();
         assert_eq!(read_txn_meta(&dir), (TXID_FIRST, TXID_FIRST));
         write_txn_meta(&dir, 7, 42).unwrap();
         assert_eq!(read_txn_meta(&dir), (7, 42));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,11 +14,12 @@ use std::sync::Arc;
 
 use ordb::net::{self, Client, Server};
 use ordb::tuple::encode_row;
-use ordb::{Database, DbError, Value};
+use ordb::{Database, DbError, TempDir, Value};
 
-fn served_db(tag: &str) -> (Arc<Database>, net::ServerHandle) {
-    let dir = std::env::temp_dir().join(format!("ordb-net-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// A populated database served on a loopback port; keep the [`TempDir`]
+/// alive while the server runs.
+fn served_db(tag: &str) -> (TempDir, Arc<Database>, net::ServerHandle) {
+    let dir = TempDir::new(&format!("ordb-net-{tag}")).unwrap();
     let db = Arc::new(Database::open(&dir).unwrap());
     db.execute("CREATE TABLE item (id INTEGER, name VARCHAR, doc XADT)").unwrap();
     db.execute("CREATE TABLE grp (gid INTEGER, title VARCHAR)").unwrap();
@@ -33,12 +34,12 @@ fn served_db(tag: &str) -> (Arc<Database>, net::ServerHandle) {
     db.execute("INSERT INTO grp VALUES (0, 'alpha'), (1, 'beta'), (2, 'gamma')").unwrap();
     let server = Server::bind(db.clone(), "127.0.0.1:0").unwrap();
     let handle = server.spawn();
-    (db, handle)
+    (dir, db, handle)
 }
 
 #[test]
 fn remote_results_are_byte_identical_to_embedded() {
-    let (db, handle) = served_db("ident");
+    let (_dir, db, handle) = served_db("ident");
     let queries = [
         "SELECT id, name FROM item WHERE id < 5",
         "SELECT COUNT(*) FROM item",
@@ -67,7 +68,7 @@ fn remote_results_are_byte_identical_to_embedded() {
 
 #[test]
 fn multi_client_concurrent_queries_match_embedded() {
-    let (db, handle) = served_db("multi");
+    let (_dir, db, handle) = served_db("multi");
     let addr = handle.addr();
     std::thread::scope(|s| {
         for t in 0..4 {
@@ -94,7 +95,7 @@ fn multi_client_concurrent_queries_match_embedded() {
 
 #[test]
 fn ddl_dml_commit_and_ping_over_the_wire() {
-    let (db, handle) = served_db("ddl");
+    let (_dir, db, handle) = served_db("ddl");
     let mut client = Client::connect(handle.addr()).unwrap();
     client.ping().unwrap();
     assert_eq!(client.execute("CREATE TABLE wire_t (a INTEGER, b VARCHAR)").unwrap(), 0);
@@ -114,7 +115,7 @@ fn ddl_dml_commit_and_ping_over_the_wire() {
 
 #[test]
 fn statement_errors_keep_the_connection_alive() {
-    let (_db, handle) = served_db("errs");
+    let (_dir, _db, handle) = served_db("errs");
     let mut client = Client::connect(handle.addr()).unwrap();
     // Parse error comes back as Parse, not a dead socket.
     match client.query("SELEKT 1") {
@@ -132,7 +133,7 @@ fn statement_errors_keep_the_connection_alive() {
 
 #[test]
 fn session_set_changes_explain_per_connection() {
-    let (db, handle) = served_db("sess");
+    let (_dir, db, handle) = served_db("sess");
     let join_sql = "SELECT i.name, g.title FROM item i, grp g WHERE i.id = g.gid";
     let mut forced = Client::connect(handle.addr()).unwrap();
     let mut plain = Client::connect(handle.addr()).unwrap();
@@ -162,7 +163,7 @@ fn session_set_changes_explain_per_connection() {
 /// accepting afterwards.
 #[test]
 fn malformed_frames_never_kill_the_server() {
-    let (db, handle) = served_db("malformed");
+    let (_dir, db, handle) = served_db("malformed");
     let addr = handle.addr();
 
     let hello: Vec<u8> = {
@@ -235,7 +236,7 @@ fn malformed_frames_never_kill_the_server() {
 
 #[test]
 fn explicit_txn_is_invisible_across_connections_until_commit() {
-    let (db, handle) = served_db("txnvis");
+    let (_dir, db, handle) = served_db("txnvis");
     let mut writer = Client::connect(handle.addr()).unwrap();
     let mut reader = Client::connect(handle.addr()).unwrap();
 
@@ -265,7 +266,7 @@ fn explicit_txn_is_invisible_across_connections_until_commit() {
 
 #[test]
 fn write_write_conflict_round_trips_with_stable_code() {
-    let (db, handle) = served_db("txnconflict");
+    let (_dir, db, handle) = served_db("txnconflict");
     let mut a = Client::connect(handle.addr()).unwrap();
     let mut b = Client::connect(handle.addr()).unwrap();
 
@@ -299,7 +300,7 @@ fn write_write_conflict_round_trips_with_stable_code() {
 
 #[test]
 fn connection_drop_mid_txn_auto_aborts() {
-    let (db, handle) = served_db("txndrop");
+    let (_dir, db, handle) = served_db("txndrop");
     let aborted_before = db.txn_stats().aborted;
     {
         let mut doomed = Client::connect(handle.addr()).unwrap();

@@ -2,12 +2,14 @@
 //! predicate pushdown correctness, joins, aggregation, lateral table
 //! functions, NULL handling, and error reporting.
 
-use ordb::{Database, QueryResult, Row, Value};
+use ordb::{Database, QueryResult, Row, TempDir, Value};
 
-fn db(tag: &str) -> Database {
-    let dir = std::env::temp_dir().join(format!("ordb-suite-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Database::open(&dir).unwrap()
+/// A database in a fresh directory; keep the [`TempDir`] alive while the
+/// database is in use.
+fn db(tag: &str) -> (TempDir, Database) {
+    let dir = TempDir::new(&format!("ordb-suite-{tag}")).unwrap();
+    let db = Database::open(&dir).unwrap();
+    (dir, db)
 }
 
 fn ints(r: &QueryResult) -> Vec<i64> {
@@ -26,7 +28,7 @@ fn setup_nums(db: &Database) {
 
 #[test]
 fn arithmetic_expressions() {
-    let d = db("arith");
+    let (_dir, d) = db("arith");
     setup_nums(&d);
     let r = d.query("SELECT n * 2 + 1 FROM nums WHERE n <= 3 ORDER BY n").unwrap();
     assert_eq!(ints(&r), [3, 5, 7]);
@@ -48,7 +50,7 @@ fn arithmetic_expressions() {
 
 #[test]
 fn arithmetic_in_predicates_and_aggregates() {
-    let d = db("arith2");
+    let (_dir, d) = db("arith2");
     setup_nums(&d);
     let r = d.query("SELECT SUM(n * n) FROM nums").unwrap();
     assert_eq!(r.scalar(), Some(&Value::Int(385)));
@@ -58,7 +60,7 @@ fn arithmetic_in_predicates_and_aggregates() {
 
 #[test]
 fn null_three_valued_logic() {
-    let d = db("nulls");
+    let (_dir, d) = db("nulls");
     setup_nums(&d);
     // s = 'x' is UNKNOWN for NULL s: those rows are excluded both ways.
     let eq = d.query("SELECT COUNT(*) FROM nums WHERE s = 's1'").unwrap();
@@ -72,7 +74,7 @@ fn null_three_valued_logic() {
 
 #[test]
 fn min_max_and_count_distinct() {
-    let d = db("minmax");
+    let (_dir, d) = db("minmax");
     d.execute("CREATE TABLE t (g VARCHAR, v INTEGER)").unwrap();
     d.execute("INSERT INTO t VALUES ('a', 3), ('a', 1), ('a', 3), ('b', 7), ('b', NULL)").unwrap();
     let r = d
@@ -89,7 +91,7 @@ fn min_max_and_count_distinct() {
 
 #[test]
 fn order_by_aggregate_output() {
-    let d = db("orderagg");
+    let (_dir, d) = db("orderagg");
     d.execute("CREATE TABLE t (g VARCHAR)").unwrap();
     d.execute("INSERT INTO t VALUES ('x'), ('y'), ('y'), ('z'), ('y'), ('z')").unwrap();
     let r = d.query("SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY COUNT(*) DESC, g").unwrap();
@@ -105,7 +107,7 @@ fn order_by_aggregate_output() {
 
 #[test]
 fn three_way_join_with_aliases() {
-    let d = db("threeway");
+    let (_dir, d) = db("threeway");
     d.execute("CREATE TABLE a (aid INTEGER)").unwrap();
     d.execute("CREATE TABLE b (bid INTEGER, b_a INTEGER)").unwrap();
     d.execute("CREATE TABLE c (cid INTEGER, c_b INTEGER)").unwrap();
@@ -131,7 +133,7 @@ fn three_way_join_with_aliases() {
 
 #[test]
 fn cross_join_without_predicate() {
-    let d = db("cross");
+    let (_dir, d) = db("cross");
     d.execute("CREATE TABLE a (x INTEGER)").unwrap();
     d.execute("CREATE TABLE b (y INTEGER)").unwrap();
     d.execute("INSERT INTO a VALUES (1), (2), (3)").unwrap();
@@ -148,7 +150,7 @@ fn cross_join_without_predicate() {
 
 #[test]
 fn self_join_via_aliases() {
-    let d = db("selfjoin");
+    let (_dir, d) = db("selfjoin");
     d.execute("CREATE TABLE e (id INTEGER, boss INTEGER)").unwrap();
     d.execute("INSERT INTO e VALUES (1, NULL), (2, 1), (3, 1), (4, 2)").unwrap();
     let r = d
@@ -170,7 +172,7 @@ fn self_join_via_aliases() {
 
 #[test]
 fn ambiguous_and_unknown_columns_error() {
-    let d = db("errors");
+    let (_dir, d) = db("errors");
     d.execute("CREATE TABLE a (x INTEGER)").unwrap();
     d.execute("CREATE TABLE b (x INTEGER)").unwrap();
     assert!(d.query("SELECT x FROM a, b").is_err(), "ambiguous");
@@ -182,7 +184,7 @@ fn ambiguous_and_unknown_columns_error() {
 
 #[test]
 fn distinct_over_multiple_columns() {
-    let d = db("distinct2");
+    let (_dir, d) = db("distinct2");
     d.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
     d.execute("INSERT INTO t VALUES (1,'x'), (1,'x'), (1,'y'), (2,'x')").unwrap();
     let r = d.query("SELECT DISTINCT a, b FROM t").unwrap();
@@ -200,7 +202,7 @@ fn distinct_over_multiple_columns() {
 
 #[test]
 fn lateral_unnest_chains() {
-    let d = db("lateral2");
+    let (_dir, d) = db("lateral2");
     d.execute("CREATE TABLE docs (body XADT)").unwrap();
     d.execute(
         "INSERT INTO docs VALUES \
@@ -228,7 +230,7 @@ fn lateral_unnest_chains() {
 
 #[test]
 fn get_attr_udf_in_sql() {
-    let d = db("getattr");
+    let (_dir, d) = db("getattr");
     d.execute("CREATE TABLE t (x XADT)").unwrap();
     d.execute("INSERT INTO t VALUES ('<author AuthorPosition=\"2\">B. Field</author>')").unwrap();
     let r = d.query("SELECT getAttr(x, 'author', 'AuthorPosition') FROM t").unwrap();
@@ -237,7 +239,7 @@ fn get_attr_udf_in_sql() {
 
 #[test]
 fn wildcard_projection_and_aliases() {
-    let d = db("wildcard");
+    let (_dir, d) = db("wildcard");
     d.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
     d.execute("INSERT INTO t VALUES (1, 'x')").unwrap();
     let r = d.query("SELECT * FROM t").unwrap();
@@ -248,7 +250,7 @@ fn wildcard_projection_and_aliases() {
 
 #[test]
 fn index_scan_with_range_predicates() {
-    let d = db("ranges");
+    let (_dir, d) = db("ranges");
     d.execute("CREATE TABLE t (k INTEGER)").unwrap();
     d.insert_rows("t", (0..1000).map(|i| vec![Value::Int(i)]).collect()).unwrap();
     d.execute("CREATE INDEX t_k ON t (k)").unwrap();
@@ -268,7 +270,7 @@ fn index_scan_with_range_predicates() {
 
 #[test]
 fn like_and_not_like() {
-    let d = db("like2");
+    let (_dir, d) = db("like2");
     setup_nums(&d);
     let r = d.query("SELECT COUNT(*) FROM nums WHERE s LIKE 's1%'").unwrap();
     assert_eq!(r.scalar(), Some(&Value::Int(2))); // s1, s10
@@ -278,7 +280,7 @@ fn like_and_not_like() {
 
 #[test]
 fn limit_and_order_stability() {
-    let d = db("limit2");
+    let (_dir, d) = db("limit2");
     setup_nums(&d);
     let r = d.query("SELECT n FROM nums ORDER BY n LIMIT 3").unwrap();
     assert_eq!(ints(&r), [1, 2, 3]);
@@ -288,7 +290,7 @@ fn limit_and_order_stability() {
 
 #[test]
 fn global_aggregate_over_empty_result() {
-    let d = db("emptyagg");
+    let (_dir, d) = db("emptyagg");
     setup_nums(&d);
     let r = d.query("SELECT COUNT(*), SUM(n), MIN(n) FROM nums WHERE n > 999").unwrap();
     assert_eq!(r.rows, vec![vec![Value::Int(0), Value::Null, Value::Null]]);
@@ -296,7 +298,7 @@ fn global_aggregate_over_empty_result() {
 
 #[test]
 fn in_and_between_desugar() {
-    let d = db("inbetween");
+    let (_dir, d) = db("inbetween");
     setup_nums(&d);
     let r = d.query("SELECT n FROM nums WHERE n IN (2, 4, 99) ORDER BY n").unwrap();
     assert_eq!(ints(&r), [2, 4]);

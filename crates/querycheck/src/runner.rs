@@ -1,10 +1,8 @@
 //! The differential matrix: one generated query, every plan shape ×
 //! engine configuration, all compared bytewise against the oracle.
 
-use std::path::PathBuf;
-
 use ordb::tuple::encode_row;
-use ordb::{Database, DbOptions, Executor, ForcedAccess, ForcedJoin, PlanForcing, Row};
+use ordb::{Database, DbOptions, ForcedAccess, ForcedJoin, PlanForcing, Row, TempDir};
 use xorator::prelude::*;
 
 use crate::data::{Corpus, SchemaInfo};
@@ -43,11 +41,8 @@ pub const CONFIGS: [EngineConfig; 4] = [
 ];
 
 /// Every forced plan shape one query is executed under: the cost-based
-/// default, each join algorithm pinned, declared join order, both
-/// access-path extremes, and the vectorized batch executor. Every
-/// generated query thus runs Volcano-vs-Batch-vs-oracle as a three-way
-/// differential; a mismatch's repro names the executor via
-/// [`PlanForcing::describe`] (`exec=batch` vs `exec=volcano`).
+/// default, each join algorithm pinned, declared join order, and both
+/// access-path extremes.
 pub fn forcing_modes() -> Vec<PlanForcing> {
     vec![
         PlanForcing::default(),
@@ -55,41 +50,15 @@ pub fn forcing_modes() -> Vec<PlanForcing> {
             join: Some(ForcedJoin::NestedLoop),
             declared_order: true,
             access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
         },
-        PlanForcing {
-            join: Some(ForcedJoin::Hash),
-            declared_order: true,
-            access: None,
-            ..PlanForcing::default()
-        },
+        PlanForcing { join: Some(ForcedJoin::Hash), declared_order: true, access: None },
         PlanForcing {
             join: Some(ForcedJoin::Merge),
             declared_order: false,
             access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
         },
-        PlanForcing {
-            join: None,
-            declared_order: false,
-            access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
-        },
-        PlanForcing {
-            join: None,
-            declared_order: true,
-            access: Some(ForcedAccess::IndexScan),
-            ..PlanForcing::default()
-        },
-        // Batch executor over the scan-friendliest shape: forced seq
-        // scans vectorize every access path, hash joins batch when the
-        // config sets no memory budget and fall back under one.
-        PlanForcing {
-            join: None,
-            declared_order: false,
-            access: Some(ForcedAccess::SeqScan),
-            executor: Executor::Batch,
-        },
+        PlanForcing { join: None, declared_order: false, access: Some(ForcedAccess::SeqScan) },
+        PlanForcing { join: None, declared_order: true, access: Some(ForcedAccess::IndexScan) },
     ]
 }
 
@@ -149,7 +118,8 @@ pub struct Harness {
     /// Schema + ground truth + samples (generator and oracle input).
     pub info: SchemaInfo,
     reg: ordb::functions::FunctionRegistry,
-    dbs: Vec<(EngineConfig, Database, PathBuf)>,
+    /// One loaded database per config; each drops before its directory.
+    dbs: Vec<(EngineConfig, Database, TempDir)>,
 }
 
 impl Harness {
@@ -178,13 +148,12 @@ impl Harness {
         let info = SchemaInfo::build(mapping, &docs)?;
         let mut dbs = Vec::new();
         for (i, cfg) in CONFIGS.iter().enumerate() {
-            let dir = std::env::temp_dir().join(format!(
-                "querycheck-{}-{tag}-{}-{}-s{seed}-c{i}",
-                std::process::id(),
+            let dir = TempDir::new(&format!(
+                "querycheck-{tag}-{}-{}-s{seed}-c{i}",
                 corpus.name(),
                 info.mapping.algorithm,
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            ))
+            .map_err(ordb::DbError::from)?;
             let db = Database::open_with(
                 &dir,
                 DbOptions {
@@ -266,14 +235,6 @@ impl Harness {
             m.apply(rows);
         }
         compare(&expected, &got)
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        for (_, _, dir) in &self.dbs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 }
 

@@ -8,19 +8,16 @@
 //! and never contaminated by earlier state. The result is written as a
 //! self-contained markdown repro under `target/querycheck/`.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 
 use ordb::sql::ast::{AstExpr, FromItem, Select, SelectItem};
-use ordb::{Database, DbOptions, PlanForcing};
+use ordb::{Database, DbOptions, PlanForcing, TempDir};
 use xorator::prelude::*;
 
 use crate::data::{Corpus, SchemaInfo};
 use crate::gen::render_select;
 use crate::oracle;
 use crate::runner::{compare, EngineConfig, Mismatch, Mutation};
-
-static PROBE_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// A minimized failure, ready to file.
 #[derive(Debug)]
@@ -49,19 +46,12 @@ pub fn probe(
 ) -> Option<String> {
     let mapping = corpus.mapping(algorithm);
     let info = SchemaInfo::build(mapping, docs).ok()?;
-    let dir = std::env::temp_dir().join(format!(
-        "querycheck-probe-{}-{}",
-        std::process::id(),
-        PROBE_SEQ.fetch_add(1, Ordering::Relaxed),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let result = probe_in(&dir, &info, docs, q, cfg, forcing, mutation);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    let dir = TempDir::new("querycheck-probe").ok()?;
+    probe_in(&dir, &info, docs, q, cfg, forcing, mutation)
 }
 
 fn probe_in(
-    dir: &PathBuf,
+    dir: &Path,
     info: &SchemaInfo,
     docs: &[String],
     q: &Select,

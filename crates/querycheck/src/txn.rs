@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ordb::{Database, DbError, ForcedAccess, PlanForcing, TxnId, Value};
+use ordb::{Database, DbError, ForcedAccess, PlanForcing, TempDir, TxnId, Value};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Who currently holds the delete claim (`xmax`) on a committed row.
@@ -83,8 +83,8 @@ pub struct TxnReport {
 /// check every intermediate state. `Err` carries a replayable
 /// description of the first disagreement.
 pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
-    let dir = std::env::temp_dir().join(format!("querycheck-txn-{}-s{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new(&format!("querycheck-txn-s{seed}"))
+        .map_err(|e| format!("create scratch dir: {e}"))?;
     let db = Database::open(&dir).map_err(|e| format!("open scratch db: {e}"))?;
     db.execute("CREATE TABLE acct (id INTEGER, val INTEGER)")
         .map_err(|e| format!("create table: {e}"))?;
@@ -240,7 +240,6 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
         let _ = db.rollback_txn(t.txn);
     }
     let _ = db.close();
-    let _ = std::fs::remove_dir_all(&dir);
     result.map(|()| report)
 }
 

@@ -3,13 +3,15 @@
 //! dialects — asserting the two mappings return *equivalent answers*.
 
 use datagen::ShakespeareConfig;
-use ordb::{Database, Value};
+use ordb::{Database, TempDir, Value};
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 
 struct Env {
     hybrid: Database,
     xorator: Database,
+    /// Holds the databases' directory; declared last so it drops after them.
+    _dir: TempDir,
 }
 
 fn setup() -> Env {
@@ -17,8 +19,7 @@ fn setup() -> Env {
     let simple = simplify(&parse_dtd(xorator::dtds::SHAKESPEARE_DTD).unwrap());
     let queries = shakespeare_queries();
     let workload: Vec<&str> = queries.iter().flat_map(|q| [q.hybrid, q.xorator]).collect();
-    let dir = std::env::temp_dir().join(format!("xorator-it-shak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("xorator-it-shak").unwrap();
 
     let mut dbs = Vec::new();
     for (name, mapping) in [("hybrid", map_hybrid(&simple)), ("xorator", map_xorator(&simple))] {
@@ -30,7 +31,7 @@ fn setup() -> Env {
     }
     let xorator = dbs.pop().unwrap();
     let hybrid = dbs.pop().unwrap();
-    Env { hybrid, xorator }
+    Env { hybrid, xorator, _dir: dir }
 }
 
 #[test]

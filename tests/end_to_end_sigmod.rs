@@ -3,7 +3,7 @@
 //! between the QG dialects.
 
 use datagen::SigmodConfig;
-use ordb::Database;
+use ordb::{Database, TempDir};
 use xadt::StorageFormat;
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
@@ -12,6 +12,8 @@ struct Env {
     hybrid: Database,
     xorator: Database,
     format: StorageFormat,
+    /// Holds the databases' directory; declared last so it drops after them.
+    _dir: TempDir,
 }
 
 fn setup() -> Env {
@@ -19,8 +21,7 @@ fn setup() -> Env {
     let simple = simplify(&parse_dtd(xorator::dtds::SIGMOD_DTD).unwrap());
     let queries = sigmod_queries();
     let workload: Vec<&str> = queries.iter().flat_map(|q| [q.hybrid, q.xorator]).collect();
-    let dir = std::env::temp_dir().join(format!("xorator-it-sig-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("xorator-it-sig").unwrap();
 
     let hybrid = Database::open(dir.join("hybrid")).unwrap();
     let hmap = map_hybrid(&simple);
@@ -32,7 +33,7 @@ fn setup() -> Env {
     let xrep = load_corpus(&xorator, &xmap, &docs, LoadOptions::default()).unwrap();
     advise_and_apply(&xorator, &xmap, &workload).unwrap();
 
-    Env { hybrid, xorator, format: xrep.format }
+    Env { hybrid, xorator, format: xrep.format, _dir: dir }
 }
 
 #[test]
@@ -121,8 +122,7 @@ fn compressed_and_plain_loads_give_identical_answers() {
     let docs = datagen::generate_sigmod(&SigmodConfig { documents: 30, ..Default::default() });
     let simple = simplify(&parse_dtd(xorator::dtds::SIGMOD_DTD).unwrap());
     let xmap = map_xorator(&simple);
-    let dir = std::env::temp_dir().join(format!("xorator-it-fmt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("xorator-it-fmt").unwrap();
     let mut results = Vec::new();
     for (name, policy) in [("plain", FormatPolicy::Plain), ("compressed", FormatPolicy::Compressed)]
     {

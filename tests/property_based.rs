@@ -22,6 +22,7 @@ use ordb::storage::buffer::BufferPool;
 use ordb::storage::heap::Rid;
 use ordb::tuple::{decode_row, encode_row};
 use ordb::types::Value;
+use ordb::TempDir;
 use xadt::XadtValue;
 use xmlkit::{parse_document, serialize, Document, NodeId};
 
@@ -266,10 +267,7 @@ fn btree_behaves_like_sorted_map() {
     for seed in 0..32u64 {
         let mut rng = SmallRng::seed_from_u64(5000 + seed);
         let ops: Vec<Op> = (0..rng.gen_range(1..150usize)).map(|_| arb_op(&mut rng)).collect();
-        let dir =
-            std::env::temp_dir().join(format!("xorator-prop-btree-{}-{seed}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new(&format!("xorator-prop-btree-{seed}")).unwrap();
         let pool = Arc::new(BufferPool::new(16));
         pool.register_file(1, dir.join("t.db")).unwrap();
         let tree = BTree::create(pool, 1).unwrap();
@@ -308,6 +306,5 @@ fn btree_behaves_like_sorted_map() {
         for w in all.windows(2) {
             assert!(w[0].0 <= w[1].0, "seed {seed}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

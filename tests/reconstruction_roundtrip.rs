@@ -3,19 +3,14 @@
 //! storage formats.
 
 use datagen::{ShakespeareConfig, SigmodConfig};
-use ordb::Database;
+use ordb::{Database, TempDir};
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 
 fn check(tag: &str, dtd_src: &str, docs: &[String], policy: FormatPolicy) {
     let simple = simplify(&parse_dtd(dtd_src).unwrap());
     for (name, mapping) in [("hybrid", map_hybrid(&simple)), ("xorator", map_xorator(&simple))] {
-        let dir = std::env::temp_dir().join(format!(
-            "xorator-rt-{tag}-{name}-{:?}-{}",
-            policy,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("xorator-rt-{tag}-{name}-{policy:?}")).unwrap();
         let db = Database::open(&dir).unwrap();
         load_corpus(&db, &mapping, docs, LoadOptions { policy, sample_docs: 0 }).unwrap();
         let rebuilt = reconstruct_documents(&db, &mapping).unwrap();
@@ -28,7 +23,6 @@ fn check(tag: &str, dtd_src: &str, docs: &[String], policy: FormatPolicy) {
                 "{tag}/{name} doc {i}: reconstruction lost content"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -2,7 +2,7 @@
 //! extension): the same XPath compiled against both schemas must select
 //! equivalent answers from loaded databases.
 
-use ordb::Database;
+use ordb::{Database, TempDir};
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 
@@ -29,20 +29,21 @@ struct Env {
     xorator: Database,
     hmap: xorator::schema::Mapping,
     xmap: xorator::schema::Mapping,
+    /// Holds the databases' directory; declared last so it drops after them.
+    _dir: TempDir,
 }
 
 fn setup() -> Env {
     let simple = simplify(&parse_dtd(xorator::dtds::PLAYS_DTD).unwrap());
     let hmap = map_hybrid(&simple);
     let xmap = map_xorator(&simple);
-    let dir = std::env::temp_dir().join(format!("xorator-it-xpath-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("xorator-it-xpath").unwrap();
     let hybrid = Database::open(dir.join("h")).unwrap();
     let xorator = Database::open(dir.join("x")).unwrap();
     let docs = corpus();
     load_corpus(&hybrid, &hmap, &docs, LoadOptions::default()).unwrap();
     load_corpus(&xorator, &xmap, &docs, LoadOptions::default()).unwrap();
-    Env { hybrid, xorator, hmap, xmap }
+    Env { hybrid, xorator, hmap, xmap, _dir: dir }
 }
 
 /// Count the logical matches of an XPath result: scalar rows count as 1
