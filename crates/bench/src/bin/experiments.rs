@@ -11,7 +11,8 @@
 //! ```
 //!
 //! `trajectory` runs the pinned perf-trajectory set (fig11/fig13 queries,
-//! loads, throughput mix) and writes `BENCH_PR10.json`; `compare` diffs
+//! loads, throughput mix) and writes `target/experiments/trajectory.json`
+//! (or `--out`; the committed baselines are `BENCH_PR*.json`); `compare` diffs
 //! two BENCH files on deterministic counters and exits non-zero on a
 //! >15 % regression. See `xorator_bench::trajectory`.
 //!
@@ -640,7 +641,7 @@ fn spill_figure(args: &Args, mlog: &mut MetricsLog) {
 /// The perf-trajectory run (ROADMAP item 3): fig11 + fig13 queries and
 /// loads plus a throughput mix, under a configuration pinned hard enough
 /// that the counter columns are bit-identical run to run. Writes
-/// `BENCH_PR10.json` (or `--out`). `--quick` runs the DSx1 subset for CI;
+/// `target/experiments/trajectory.json` (or `--out`). `--quick` runs the DSx1 subset for CI;
 /// its entry ids are a subset of the full file's, so the comparator still
 /// gates on the intersection.
 fn trajectory_command(args: &Args) {
@@ -681,9 +682,17 @@ fn trajectory_command(args: &Args) {
     );
     config.insert("pool_frames".to_string(), xorator_bench::EXPERIMENT_POOL_FRAMES.to_string());
     let file = BenchFile { schema_version: SCHEMA_VERSION, pr: 10, config, entries };
-    let out = args.out.clone().unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out = args.out.clone().map(std::path::PathBuf::from).unwrap_or_else(|| {
+        let path = scratch_dir("trajectory.json");
+        std::fs::create_dir_all(path.parent().expect("under target")).expect("create dir");
+        path
+    });
     std::fs::write(&out, file.to_json()).expect("write BENCH file");
-    println!("\nwrote {out} ({} entries, schema v{SCHEMA_VERSION})", file.entries.len());
+    println!(
+        "\nwrote {} ({} entries, schema v{SCHEMA_VERSION})",
+        out.display(),
+        file.entries.len()
+    );
 }
 
 /// One figure's trajectory entries: per-scale loads (tuples, sizes, WAL
@@ -1075,16 +1084,16 @@ fn txn_figure(args: &Args, mlog: &mut MetricsLog) {
     assert_eq!(visible, commits + 1, "committed rows all visible");
 
     // First-updater-wins demonstration on the embedded handle.
-    let (mut s1, mut s2) = (None, None);
-    db.execute_txn("BEGIN", &mut s1).expect("begin t1");
-    db.execute_txn("BEGIN", &mut s2).expect("begin t2");
-    db.execute_txn("DELETE FROM ledger WHERE k = 0", &mut s1).expect("t1 claims");
-    let conflict = db.execute_txn("DELETE FROM ledger WHERE k = 0", &mut s2);
+    let (mut s1, mut s2) = (ordb::Session::new(), ordb::Session::new());
+    db.run("BEGIN", &mut s1).expect("begin t1");
+    db.run("BEGIN", &mut s2).expect("begin t2");
+    db.run("DELETE FROM ledger WHERE k = 0", &mut s1).expect("t1 claims");
+    let conflict = db.run("DELETE FROM ledger WHERE k = 0", &mut s2);
     assert!(
         matches!(conflict, Err(ordb::DbError::TxnConflict(_))),
         "second updater must fail fast, got {conflict:?}"
     );
-    db.execute_txn("ROLLBACK", &mut s1).expect("t1 rollback");
+    db.run("ROLLBACK", &mut s1).expect("t1 rollback");
     let dc = db.metrics_snapshot().since(&before);
     println!(
         "conflict demo: {} write-write conflict(s), loser rolled back automatically",

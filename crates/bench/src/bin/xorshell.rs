@@ -181,7 +181,7 @@ impl Shell {
                         pool.writebacks,
                         pool.hit_ratio()
                     );
-                    let e = ordb::metrics::ENGINE.snapshot();
+                    let e = self.db.metrics_snapshot().engine;
                     println!(
                         "engine: index_probes={} sort_rows={} sort_spills={} \
                          unnest_calls={} unnest_bytes={}",

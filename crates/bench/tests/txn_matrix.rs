@@ -25,7 +25,7 @@
 
 use ordb::{
     CrashMode, Database, DbOptions, FaultInjector, FaultPlan, FaultScope, ForcedAccess,
-    PlanForcing, Value,
+    PlanForcing, Session, Value,
 };
 use xorator_bench::scratch_dir;
 
@@ -76,31 +76,28 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
     for round in 0..rounds {
         // 1. A durably committed batch through the explicit txn path.
         let base = 1_000 + round as i64 * BATCH;
-        let mut committer = None;
-        db.execute_txn("BEGIN", &mut committer).expect("begin committer");
+        let mut committer = Session::new();
+        db.run("BEGIN", &mut committer).expect("begin committer");
         for i in 0..BATCH {
-            db.execute_txn(
-                &format!("INSERT INTO tlog VALUES ({}, 'keep')", base + i),
-                &mut committer,
-            )
-            .expect("committed insert");
+            db.run(&format!("INSERT INTO tlog VALUES ({}, 'keep')", base + i), &mut committer)
+                .expect("committed insert");
         }
-        db.execute_txn("COMMIT", &mut committer).expect("durable commit");
+        db.run("COMMIT", &mut committer).expect("durable commit");
 
         // 2. An orphan transaction: inserts plus one delete claim on a
         //    committed row, never committed. Its id slot dies with the
         //    process below.
         let orphan_base = 9_000_000 + round as i64 * BATCH;
-        let mut orphan = None;
-        db.execute_txn("BEGIN", &mut orphan).expect("begin orphan");
+        let mut orphan = Session::new();
+        db.run("BEGIN", &mut orphan).expect("begin orphan");
         for i in 0..BATCH {
-            db.execute_txn(
+            db.run(
                 &format!("INSERT INTO tlog VALUES ({}, 'orphan')", orphan_base + i),
                 &mut orphan,
             )
             .expect("orphan insert");
         }
-        db.execute_txn(&format!("DELETE FROM tlog WHERE id = {base}"), &mut orphan)
+        db.run(&format!("DELETE FROM tlog WHERE id = {base}"), &mut orphan)
             .expect("orphan delete claim");
 
         // 3. Crash somewhere inside the checkpoint's write storm.
@@ -227,27 +224,25 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
         // fsync); every 4th row overflows into a chain so the crashing
         // pass has chain pages in flight, not just slots.
         let base = round as i64 * BATCH;
-        let mut w = None;
-        db.execute_txn("BEGIN", &mut w).expect("begin insert");
+        let mut w = Session::new();
+        db.run("BEGIN", &mut w).expect("begin insert");
         for i in 0..BATCH {
             let id = base + i;
             let body = if i % 4 == 0 { "y".repeat(6000) } else { format!("row-{id}") };
-            db.execute_txn(&format!("INSERT INTO vlog VALUES ({id}, '{body}')"), &mut w)
-                .expect("insert");
+            db.run(&format!("INSERT INTO vlog VALUES ({id}, '{body}')"), &mut w).expect("insert");
             oracle.insert(id);
         }
-        db.execute_txn("COMMIT", &mut w).expect("durable insert commit");
+        db.run("COMMIT", &mut w).expect("durable insert commit");
         // Durably delete the even half — the armed pass's victims.
-        db.execute_txn("BEGIN", &mut w).expect("begin delete");
+        db.run("BEGIN", &mut w).expect("begin delete");
         for i in 0..BATCH {
             if i % 2 == 0 {
                 let id = base + i;
-                db.execute_txn(&format!("DELETE FROM vlog WHERE id = {id}"), &mut w)
-                    .expect("delete");
+                db.run(&format!("DELETE FROM vlog WHERE id = {id}"), &mut w).expect("delete");
                 oracle.remove(&id);
             }
         }
-        db.execute_txn("COMMIT", &mut w).expect("durable delete commit");
+        db.run("COMMIT", &mut w).expect("durable delete commit");
 
         let plan = FaultPlan {
             crash_after: 0,
@@ -326,13 +321,13 @@ fn durable_commit_survives_instant_death() {
     let db = Database::open(&dir).expect("open");
     db.execute("CREATE TABLE t (id INTEGER)").expect("create");
 
-    let mut slot = None;
-    db.execute_txn("BEGIN", &mut slot).expect("begin");
-    db.execute_txn("INSERT INTO t VALUES (1), (2), (3)", &mut slot).expect("insert");
-    db.execute_txn("COMMIT", &mut slot).expect("commit");
+    let mut slot = Session::new();
+    db.run("BEGIN", &mut slot).expect("begin");
+    db.run("INSERT INTO t VALUES (1), (2), (3)", &mut slot).expect("insert");
+    db.run("COMMIT", &mut slot).expect("commit");
 
-    db.execute_txn("BEGIN", &mut slot).expect("begin 2");
-    db.execute_txn("INSERT INTO t VALUES (99)", &mut slot).expect("uncommitted insert");
+    db.run("BEGIN", &mut slot).expect("begin 2");
+    db.run("INSERT INTO t VALUES (99)", &mut slot).expect("uncommitted insert");
     db.abandon(); // process death: no flush, no checkpoint
 
     let db = Database::open(&dir).expect("recover");

@@ -15,8 +15,8 @@ use crate::error::{DbError, Result};
 use crate::exec::collect;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
-use crate::metrics::{udf_delta, Profiler, QueryMetrics, ENGINE};
-use crate::plan::{plan_select, plan_select_profiled, PlanContext, PlanForcing};
+use crate::metrics::{Profiler, QueryMetrics};
+use crate::plan::{plan_select_profiled, ForcedAccess, ForcedJoin, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
 use crate::sql::parser::parse_statement;
@@ -48,11 +48,6 @@ pub struct DbOptions {
     /// `<dir>/spill/` instead of growing. `None` (the default) keeps
     /// the historical unbounded all-in-memory behaviour.
     pub mem_budget: Option<usize>,
-    /// Plan-space forcing knobs (join algorithm / join order / access
-    /// path). Default: all cost-based. Can be changed at runtime with
-    /// [`Database::set_forcing`] — the differential-testing harness pins
-    /// one query to every plan shape this way.
-    pub forcing: PlanForcing,
     /// Run [`Database::vacuum`] automatically on checkpoint when deletes
     /// have accumulated since the last pass (default on). Insert-only
     /// workloads never trigger it.
@@ -66,7 +61,6 @@ impl fmt::Debug for DbOptions {
             .field("durability", &self.durability)
             .field("fault", &self.fault.is_some())
             .field("mem_budget", &self.mem_budget)
-            .field("forcing", &self.forcing)
             .field("auto_vacuum", &self.auto_vacuum)
             .finish()
     }
@@ -79,7 +73,6 @@ impl Default for DbOptions {
             durability: true,
             fault: None,
             mem_budget: None,
-            forcing: PlanForcing::default(),
             auto_vacuum: true,
         }
     }
@@ -103,10 +96,9 @@ pub struct Database {
     recovery: Option<RecoveryReport>,
     /// Memory budget + temp-file manager handed to blocking operators.
     spill: SpillConfig,
-    /// Plan-space forcing knobs applied to every planned query.
-    forcing: RwLock<PlanForcing>,
-    /// Per-database query count + wall-latency histogram; unified with
-    /// pool/WAL/engine counters by [`Database::metrics_snapshot`].
+    /// Per-database query count, wall-latency histogram and the engine
+    /// and UDF totals of finished statements; unified with pool/WAL
+    /// counters by [`Database::metrics_snapshot`].
     registry: crate::metrics::MetricsRegistry,
     /// Transaction ids, snapshots, undo lists, and the commit
     /// watermark the checkpoint persists to `txn.meta`.
@@ -208,6 +200,142 @@ pub struct VacuumReport {
     /// Heap pages (overflow-chain pages and fully-emptied data pages)
     /// returned to the free-space map during the pass.
     pub freed_pages: u64,
+}
+
+/// A connection's statement state for [`Database::run`]: the plan
+/// forcing chosen with `SET force_*` and the explicit transaction opened
+/// by `BEGIN`. The wire server keeps one per connection, so concurrent
+/// sessions plan and commit independently.
+#[derive(Debug, Default, Clone)]
+pub struct Session {
+    forcing: PlanForcing,
+    txn: Option<TxnId>,
+}
+
+impl Session {
+    /// A fresh session: cost-based planning, no open transaction.
+    pub fn new() -> Session {
+        Session::default()
+    }
+
+    /// The plan forcing this session's statements run under.
+    pub fn forcing(&self) -> PlanForcing {
+        self.forcing
+    }
+
+    /// The open explicit transaction, if any.
+    pub fn txn(&self) -> Option<TxnId> {
+        self.txn
+    }
+
+    /// Apply one `SET key value`. Supported keys:
+    ///
+    /// * `force_join` — `nested` | `hash` | `merge` | `cost`
+    /// * `force_access` — `seq` | `index` | `cost`
+    /// * `force_order` — `declared` | `cost`
+    ///
+    /// `cost` restores the cost-based default for that knob. Unknown
+    /// keys or values fail with [`DbError::Exec`] and leave the session
+    /// unchanged.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
+        let f = &mut self.forcing;
+        let (key, value) = (key.to_ascii_lowercase(), value.to_ascii_lowercase());
+        let bad = |want: &str| DbError::Exec(format!("bad {key} value {value:?} (want {want})"));
+        match (key.as_str(), value.as_str()) {
+            ("force_join", "nested") => f.join = Some(ForcedJoin::NestedLoop),
+            ("force_join", "hash") => f.join = Some(ForcedJoin::Hash),
+            ("force_join", "merge") => f.join = Some(ForcedJoin::Merge),
+            ("force_join", "cost") => f.join = None,
+            ("force_join", _) => return Err(bad("nested|hash|merge|cost")),
+            ("force_access", "seq") => f.access = Some(ForcedAccess::SeqScan),
+            ("force_access", "index") => f.access = Some(ForcedAccess::IndexScan),
+            ("force_access", "cost") => f.access = None,
+            ("force_access", _) => return Err(bad("seq|index|cost")),
+            ("force_order", v @ ("declared" | "cost")) => f.declared_order = v == "declared",
+            ("force_order", _) => return Err(bad("declared|cost")),
+            (other, _) => return Err(DbError::Exec(format!("unknown session option {other:?}"))),
+        }
+        Ok(())
+    }
+}
+
+/// What [`Database::run`] returns for one statement.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Output {
+    /// The result of a SELECT, or an EXPLAIN's plan lines in one `plan`
+    /// column.
+    Rows(QueryResult),
+    /// The affected-row count of any other statement (0 for DDL and
+    /// transaction control; reclaimed versions for VACUUM).
+    Affected(u64),
+}
+
+impl Output {
+    /// The rows of a SELECT or EXPLAIN.
+    pub fn into_rows(self) -> Result<QueryResult> {
+        match self {
+            Output::Rows(r) => Ok(r),
+            Output::Affected(_) => Err(DbError::Plan("statement returned no rows".into())),
+        }
+    }
+
+    /// The affected-row count of a statement other than SELECT/EXPLAIN.
+    pub fn into_affected(self) -> Result<u64> {
+        match self {
+            Output::Affected(n) => Ok(n),
+            Output::Rows(_) => Err(DbError::Plan("statement returned rows".into())),
+        }
+    }
+
+    /// An EXPLAIN's plan lines.
+    pub(crate) fn into_plan(self) -> Result<Vec<String>> {
+        let rows = self.into_rows()?.rows;
+        Ok(rows
+            .into_iter()
+            .filter_map(|row| row.into_iter().next()?.as_str().map(String::from))
+            .collect())
+    }
+}
+
+/// The statement kinds an entry point accepts: [`Database::run`] takes
+/// any, the typed delegates and each wire request kind a subset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// [`Database::run`].
+    Any,
+    /// [`Database::query`] and the wire's Query request: SELECT or EXPLAIN.
+    Query,
+    /// [`Database::explain`] and the wire's Explain request: a SELECT,
+    /// answered with its plan lines.
+    Explain,
+    /// [`Database::explain_analyze`]: a SELECT, run with the profiler on.
+    Analyze,
+    /// [`Database::execute`]: autocommit DDL, DML and VACUUM.
+    Execute,
+    /// The wire's Execute request: [`Entry::Execute`] plus transaction
+    /// control against the connection's session.
+    Write,
+}
+
+impl Entry {
+    fn admit(self, stmt: &Statement) -> Result<()> {
+        use Statement as S;
+        match (self, stmt) {
+            (Entry::Any, _)
+            | (Entry::Query, S::Select(_) | S::Explain(_))
+            | (Entry::Explain | Entry::Analyze, S::Select(_)) => Ok(()),
+            (Entry::Query | Entry::Explain | Entry::Analyze, other) => {
+                Err(DbError::Plan(format!("{self:?} expects SELECT, got {other:?}")))
+            }
+            (Entry::Execute | Entry::Write, S::Select(_) | S::Explain(_)) => {
+                Err(DbError::Plan("execute() expects DDL/DML; use query()".into()))
+            }
+            (Entry::Execute, S::Begin | S::Commit | S::Rollback) => Err(DbError::Exec(
+                "transaction control is per connection; use run() with a Session".into(),
+            )),
+            (Entry::Execute | Entry::Write, _) => Ok(()),
+        }
+    }
 }
 
 impl Database {
@@ -326,7 +454,6 @@ impl Database {
             functions: crate::functions::FunctionRegistry::with_builtins(),
             recovery,
             spill,
-            forcing: RwLock::new(opts.forcing),
             registry: crate::metrics::MetricsRegistry::new(),
             txns,
             vacuum_serial: parking_lot::Mutex::new(()),
@@ -337,26 +464,16 @@ impl Database {
         })
     }
 
-    /// Replace the plan-space forcing knobs for every subsequent query.
-    /// Pass [`PlanForcing::default()`] to restore cost-based planning.
-    pub fn set_forcing(&self, forcing: PlanForcing) {
-        *self.forcing.write() = forcing;
-    }
-
-    /// The currently active plan-space forcing knobs.
-    pub fn forcing(&self) -> PlanForcing {
-        *self.forcing.read()
-    }
-
     /// The function registry (to register custom functions).
     pub fn functions_mut(&mut self) -> &mut crate::functions::FunctionRegistry {
         &mut self.functions
     }
 
-    /// Lifetime call and marshalling counters for every registered
-    /// function, sorted by name.
+    /// Call and marshalling counters summed over this database's
+    /// statements, for every function called at least once, sorted by
+    /// name.
     pub fn udf_counters(&self) -> Vec<crate::metrics::UdfCounters> {
-        self.functions.counters()
+        self.registry.totals().udfs
     }
 
     /// Create a table.
@@ -406,8 +523,7 @@ impl Database {
         let mut cursor = HeapCursor::new(heap);
         while let Some(v) = cursor.next()? {
             let row = crate::tuple::decode_row(&v.body, tdef.columns.len())?;
-            let key_vals: Vec<Value> = key_cols.iter().map(|&i| row[i].clone()).collect();
-            tree.insert(&encode_key(&key_vals), v.rid)?;
+            tree.insert(&index_key(&key_cols, &row), v.rid)?;
         }
         inner.indexes.insert(name.to_ascii_lowercase(), tree);
         inner.catalog.save(&self.dir)?;
@@ -417,29 +533,7 @@ impl Database {
     /// One table's heap, its indexes (key-column positions + trees),
     /// and its definition — the access set every DML statement needs.
     fn table_access(&self, table: &str) -> Result<TableAccess> {
-        let inner = self.inner.read();
-        let tdef = inner
-            .catalog
-            .table(table)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-            .clone();
-        let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
-            .catalog
-            .indexes_of(&tdef.name)
-            .into_iter()
-            .map(|d| {
-                let cols = d
-                    .columns
-                    .iter()
-                    .map(|c| tdef.column_index(c).expect("index column exists"))
-                    .collect::<Vec<_>>();
-                let tree = inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone();
-                (cols, tree)
-            })
-            .collect();
-        drop(inner);
-        Ok((tdef, heap, idx_defs))
+        access_of(&self.inner.read(), table)
     }
 
     /// Insert rows programmatically (the bulk-load path). Values are
@@ -447,23 +541,14 @@ impl Database {
     /// fragments. Runs as one autocommit transaction: on any error the
     /// rows inserted so far are rolled back.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        let txn = self.txns.begin();
-        match self.insert_rows_in(table, rows, txn) {
-            Ok(n) => {
-                self.commit_txn_inner(txn, false)?;
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = self.rollback_txn(txn);
-                Err(e)
-            }
-        }
+        self.dml_in(&mut None, |t| self.insert_rows_in(table, rows, t))
     }
 
     /// Insert rows inside transaction `txn`: each version is stamped
     /// with `txn`'s id as `xmin` and an undo record is kept so rollback
     /// can remove it (and its index entries) physically.
     pub fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
+        let _scope = self.registry.scope();
         let (tdef, heap, idx_defs) = self.table_access(table)?;
         let mut buf = Vec::new();
         let mut n = 0u64;
@@ -486,130 +571,93 @@ impl Database {
                 UndoRecord::Insert { table: tdef.name.clone(), rid, row: row.clone() },
             )?;
             for (cols, tree) in &idx_defs {
-                let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-                tree.insert(&encode_key(&key_vals), rid)?;
+                tree.insert(&index_key(cols, &row), rid)?;
             }
             n += 1;
         }
         Ok(n)
     }
 
-    /// Run a SELECT (or EXPLAIN SELECT).
+    /// Run one SQL statement of any kind — SELECT, EXPLAIN, DDL, DML,
+    /// VACUUM or `BEGIN`/`COMMIT`/`ROLLBACK` — in `session`. `BEGIN`
+    /// opens a transaction into the session, `COMMIT`/`ROLLBACK` close
+    /// it, and while one is open SELECTs read through its snapshot and
+    /// DML joins it; otherwise every statement autocommits. A failed DML
+    /// statement inside an explicit transaction aborts the whole
+    /// transaction (first-updater-wins conflicts never leave a
+    /// half-applied statement behind).
+    pub fn run(&self, sql: &str, session: &mut Session) -> Result<Output> {
+        Ok(self.pipeline(sql, session, Entry::Any)?.0)
+    }
+
+    /// Run a SELECT (or EXPLAIN SELECT) with cost-based planning.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         self.query_with_forcing(sql, None)
     }
 
-    /// [`Database::query`] with a per-call forcing override. `None` uses
-    /// the database-wide knobs from [`Database::set_forcing`]; `Some`
-    /// plans this one statement under the given knobs without touching
-    /// shared state — the wire server maps per-session `SET` options
-    /// here so concurrent sessions cannot perturb each other's plans.
+    /// [`Database::query`] planned under `forcing` (`None`: cost-based).
     pub fn query_with_forcing(
         &self,
         sql: &str,
         forcing: Option<PlanForcing>,
     ) -> Result<QueryResult> {
-        self.query_in(sql, forcing, None)
+        let mut session = Session { forcing: forcing.unwrap_or_default(), txn: None };
+        self.pipeline(sql, &mut session, Entry::Query)?.0.into_rows()
     }
 
-    /// [`Database::query_with_forcing`] inside an optional explicit
-    /// transaction: with `Some(txn)` the statement reads through the
-    /// snapshot captured at `BEGIN`; with `None` it reads through a
-    /// fresh autocommit snapshot (everything committed so far).
-    pub fn query_in(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-        txn: Option<TxnId>,
-    ) -> Result<QueryResult> {
-        let forcing = forcing.unwrap_or_else(|| *self.forcing.read());
-        let snapshot = match txn {
-            Some(t) => self.txns.snapshot_of(t)?,
-            None => self.txns.read_snapshot(),
-        };
-        let wall = Instant::now();
-        let _query_span = crate::trace::span("query");
-        let parse_span = crate::trace::span("parse");
-        let stmt = parse_statement(sql)?;
-        drop(parse_span);
-        match stmt {
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(q) => {
-                    let inner = self.inner.read();
-                    let ctx = PlanContext {
-                        catalog: &inner.catalog,
-                        heaps: &inner.heaps,
-                        indexes: &inner.indexes,
-                        stats: &inner.stats,
-                        functions: &self.functions,
-                        spill: &self.spill,
-                        forcing,
-                        snapshot: snapshot.clone(),
-                    };
-                    let plan = plan_select(&ctx, &q)?;
-                    Ok(QueryResult {
-                        columns: vec!["plan".to_string()],
-                        rows: plan.explain.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-                    })
-                }
-                other => Err(DbError::Plan(format!("cannot EXPLAIN {other:?}"))),
-            },
-            Statement::Select(q) => {
-                let inner = self.inner.read();
-                let ctx = PlanContext {
-                    catalog: &inner.catalog,
-                    heaps: &inner.heaps,
-                    indexes: &inner.indexes,
-                    stats: &inner.stats,
-                    functions: &self.functions,
-                    spill: &self.spill,
-                    forcing,
-                    snapshot,
-                };
-                // With span tracing on, plan with a recording profiler so
-                // the span tree gets one operator span per plan node (the
-                // wrapper cost is paid only in traced sessions; the
-                // default path does a single atomic load).
-                let spans_on = crate::trace::spans_enabled();
-                let mut prof = if spans_on { Profiler::enabled() } else { Profiler::disabled() };
-                let plan_span = crate::trace::span("plan");
-                let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
-                drop(plan_span);
-                let exec_span = crate::trace::span("exec");
-                let exec_id = exec_span.id();
-                let rows = collect(plan.root)?;
-                drop(exec_span);
-                if spans_on {
-                    if let Some(root) = prof.finish() {
-                        crate::metrics::record_operator_spans(&root, exec_id);
-                    }
-                }
-                self.registry.record_query(wall.elapsed());
-                Ok(QueryResult { columns: plan.columns, rows })
-            }
-            other => Err(DbError::Plan(format!("query() expects SELECT, got {other:?}"))),
-        }
+    /// Planner decisions for a SELECT, without executing it.
+    pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
+        self.pipeline(sql, &mut Session::new(), Entry::Explain)?.0.into_plan()
     }
 
     /// Run a SELECT with full instrumentation: every operator is wrapped
-    /// to count `next()` calls, rows, and inclusive time, and the query
-    /// is bracketed with buffer-pool, index, sort, and UDF counter
-    /// snapshots. Returns both the result and the [`QueryMetrics`].
-    ///
-    /// The counter deltas are exact only for single-stream use (see
-    /// `metrics`): a concurrent query on the same process would be
-    /// attributed to this one's window.
+    /// to count `next()` calls, rows, and inclusive time, and the
+    /// statement's own buffer-pool, WAL, engine and UDF counters are
+    /// reported with the result.
     pub fn explain_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
+        let (output, metrics) = self.pipeline(sql, &mut Session::new(), Entry::Analyze)?;
+        Ok(AnalyzeReport { result: output.into_rows()?, metrics: metrics.expect("analyzed") })
+    }
+
+    /// Execute DDL / DML / VACUUM with autocommit; returns the
+    /// affected-row count. `BEGIN`/`COMMIT`/`ROLLBACK` are rejected:
+    /// transaction scope lives in a [`Session`] (see [`Database::run`]).
+    pub fn execute(&self, sql: &str) -> Result<u64> {
+        self.pipeline(sql, &mut Session::new(), Entry::Execute)?.0.into_affected()
+    }
+
+    /// The statement pipeline behind every SQL entry point: parse once,
+    /// check the statement kind against `entry`, then plan and execute.
+    /// The whole statement runs inside one counter scope, so an
+    /// analyzed SELECT reports exactly its own work. Returns the output
+    /// plus, for [`Entry::Analyze`], the query's metrics.
+    pub(crate) fn pipeline(
+        &self,
+        sql: &str,
+        session: &mut Session,
+        entry: Entry,
+    ) -> Result<(Output, Option<QueryMetrics>)> {
         let wall = Instant::now();
-        let _query_span = crate::trace::span("query");
-        let t = Instant::now();
+        let scope = self.registry.scope();
+        // `query()` and `explain_analyze()` trace as a `query` span with
+        // parse/plan/exec children; the other entries as a `statement`.
+        let root =
+            if matches!(entry, Entry::Query | Entry::Analyze) { "query" } else { "statement" };
+        let _root_span = crate::trace::span(root);
         let parse_span = crate::trace::span("parse");
         let stmt = parse_statement(sql)?;
         drop(parse_span);
-        let parse_time = t.elapsed();
-        let Statement::Select(q) = stmt else {
-            return Err(DbError::Plan("explain_analyze() expects SELECT".into()));
+        let parse = wall.elapsed();
+        entry.admit(&stmt)?;
+        let (q, explain) = match stmt {
+            Statement::Select(q) => (q, entry == Entry::Explain),
+            Statement::Explain(inner) => match *inner {
+                Statement::Select(q) => (q, true),
+                other => return Err(DbError::Plan(format!("cannot EXPLAIN {other:?}"))),
+            },
+            other => return Ok((Output::Affected(self.dispatch(other, &mut session.txn)?), None)),
         };
+        let analyze = entry == Entry::Analyze;
         let inner = self.inner.read();
         let ctx = PlanContext {
             catalog: &inner.catalog,
@@ -618,176 +666,89 @@ impl Database {
             stats: &inner.stats,
             functions: &self.functions,
             spill: &self.spill,
-            forcing: *self.forcing.read(),
-            snapshot: self.txns.read_snapshot(),
+            forcing: session.forcing,
+            snapshot: match session.txn {
+                Some(t) => self.txns.snapshot_of(t)?,
+                None => self.txns.read_snapshot(),
+            },
         };
-        let mut prof = Profiler::enabled();
+        // Analyzed runs, and every run while span tracing is on, plan
+        // with a recording profiler: one operator span per plan node.
+        let mut prof = if analyze || crate::trace::spans_enabled() {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
         let t = Instant::now();
         let plan_span = crate::trace::span("plan");
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
         drop(plan_span);
         let plan_time = t.elapsed();
-
-        let pool0 = self.pool.stats_total();
-        let wal0 = self.wal_stats().unwrap_or_default();
-        let engine0 = ENGINE.snapshot();
-        let udf0 = self.functions.counters();
+        if explain {
+            let rows = plan.explain.into_iter().map(|l| vec![Value::Str(l)]).collect();
+            return Ok((Output::Rows(QueryResult { columns: vec!["plan".into()], rows }), None));
+        }
         let t = Instant::now();
         let exec_span = crate::trace::span("exec");
         let exec_id = exec_span.id();
         let rows = collect(plan.root)?;
         drop(exec_span);
-        let exec_time = t.elapsed();
-
-        let metrics = QueryMetrics {
-            parse: parse_time,
-            plan: plan_time,
-            exec: exec_time,
-            wall: wall.elapsed(),
-            rows: rows.len() as u64,
-            pool: self.pool.stats_total().since(&pool0),
-            wal: self.wal_stats().unwrap_or_default().since(&wal0),
-            engine: ENGINE.snapshot().since(&engine0),
-            udfs: udf_delta(&udf0, &self.functions.counters()),
-            root: prof.finish(),
-        };
-        if let Some(root) = metrics.root.as_ref() {
+        let exec = t.elapsed();
+        let root = prof.finish();
+        if let Some(root) = &root {
             crate::metrics::record_operator_spans(root, exec_id);
         }
-        self.registry.record_query(metrics.wall);
-        Ok(AnalyzeReport { result: QueryResult { columns: plan.columns, rows }, metrics })
+        let own = scope.finish();
+        let wall = wall.elapsed();
+        self.registry.record_query(wall);
+        let metrics = analyze.then_some(QueryMetrics {
+            parse,
+            plan: plan_time,
+            exec,
+            wall,
+            rows: rows.len() as u64,
+            pool: own.pool,
+            wal: own.wal,
+            engine: own.engine,
+            udfs: own.udfs,
+            root,
+        });
+        Ok((Output::Rows(QueryResult { columns: plan.columns, rows }), metrics))
     }
 
-    /// Planner decisions for a SELECT, without executing it.
-    pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
-        self.explain_with_forcing(sql, None)
-    }
-
-    /// [`Database::explain`] with a per-call forcing override (see
-    /// [`Database::query_with_forcing`]).
-    pub fn explain_with_forcing(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-    ) -> Result<Vec<String>> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                let inner = self.inner.read();
-                let ctx = PlanContext {
-                    catalog: &inner.catalog,
-                    heaps: &inner.heaps,
-                    indexes: &inner.indexes,
-                    stats: &inner.stats,
-                    functions: &self.functions,
-                    spill: &self.spill,
-                    forcing: forcing.unwrap_or_else(|| *self.forcing.read()),
-                    snapshot: self.txns.read_snapshot(),
-                };
-                Ok(plan_select(&ctx, &q)?.explain)
-            }
-            other => Err(DbError::Plan(format!("explain() expects SELECT, got {other:?}"))),
-        }
-    }
-
-    /// Execute DDL / DML with autocommit; returns affected-row count.
-    ///
-    /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected here: transaction scope
-    /// is per connection, so explicit transactions run through
-    /// [`Database::execute_txn`] (which the wire server drives with its
-    /// per-session transaction slot).
-    pub fn execute(&self, sql: &str) -> Result<u64> {
-        self.execute_stmt(parse_statement(sql)?)
-    }
-
-    /// Run one statement against a per-connection transaction slot:
-    /// `BEGIN` opens a transaction into `current`, `COMMIT`/`ROLLBACK`
-    /// close it, and DML joins the open transaction (or autocommits
-    /// when none is open). A failed DML statement inside an explicit
-    /// transaction aborts the whole transaction (first-updater-wins
-    /// conflicts never leave a half-applied statement behind).
-    pub fn execute_txn(&self, sql: &str, current: &mut Option<TxnId>) -> Result<u64> {
-        match parse_statement(sql)? {
+    /// Run one statement that is not a SELECT or EXPLAIN against the
+    /// session's transaction slot `txn`; returns the affected-row count.
+    fn dispatch(&self, stmt: Statement, txn: &mut Option<TxnId>) -> Result<u64> {
+        match stmt {
             Statement::Begin => {
-                if current.is_some() {
+                if txn.is_some() {
                     return Err(DbError::Exec("transaction already open".into()));
                 }
-                *current = Some(self.begin_txn());
+                *txn = Some(self.begin_txn());
                 Ok(0)
             }
-            Statement::Commit => match current.take() {
-                Some(t) => {
-                    self.commit_txn(t)?;
-                    Ok(0)
-                }
+            Statement::Commit => match txn.take() {
+                Some(t) => self.commit_txn(t).map(|()| 0),
                 None => Err(DbError::Exec("COMMIT with no open transaction".into())),
             },
-            Statement::Rollback => match current.take() {
-                Some(t) => {
-                    self.rollback_txn(t)?;
-                    Ok(0)
-                }
+            Statement::Rollback => match txn.take() {
+                Some(t) => self.rollback_txn(t).map(|()| 0),
                 None => Err(DbError::Exec("ROLLBACK with no open transaction".into())),
             },
             Statement::Insert { table, rows } => {
                 let values = literal_rows(rows)?;
-                self.dml_in(current, |t| self.insert_rows_in(&table, values, t))
+                self.dml_in(txn, |t| self.insert_rows_in(&table, values, t))
             }
             Statement::Delete { table, predicate } => {
-                self.dml_in(current, |t| self.delete_rows_in(&table, predicate, t))
+                self.dml_in(txn, |t| self.delete_rows_in(&table, predicate, t))
             }
-            other => self.execute_stmt(other),
-        }
-    }
-
-    /// Join `current` (or autocommit) for one DML statement. On error
-    /// inside an explicit transaction the whole transaction is rolled
-    /// back and the slot cleared; the original error (e.g.
-    /// [`DbError::TxnConflict`]) is returned unchanged so wire clients
-    /// see a stable error code.
-    fn dml_in(
-        &self,
-        current: &mut Option<TxnId>,
-        f: impl FnOnce(TxnId) -> Result<u64>,
-    ) -> Result<u64> {
-        match *current {
-            Some(t) => match f(t) {
-                Ok(n) => Ok(n),
-                Err(e) => {
-                    let _ = self.rollback_txn(t);
-                    *current = None;
-                    Err(e)
-                }
-            },
-            None => {
-                let t = self.txns.begin();
-                match f(t) {
-                    Ok(n) => {
-                        self.commit_txn_inner(t, false)?;
-                        Ok(n)
-                    }
-                    Err(e) => {
-                        let _ = self.rollback_txn(t);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Autocommit execution of a parsed statement.
-    fn execute_stmt(&self, stmt: Statement) -> Result<u64> {
-        match stmt {
             Statement::CreateTable { name, columns } => {
                 let cols = columns.into_iter().map(|(n, t)| ColumnDef::new(n, t)).collect();
-                self.create_table(&name, cols)?;
-                Ok(0)
+                self.create_table(&name, cols).map(|()| 0)
             }
             Statement::CreateIndex { name, table, columns } => {
-                self.create_index(&name, &table, columns)?;
-                Ok(0)
+                self.create_index(&name, &table, columns).map(|()| 0)
             }
-            Statement::Insert { table, rows } => self.insert_rows(&table, literal_rows(rows)?),
-            Statement::Delete { table, predicate } => self.delete_rows(&table, predicate),
             Statement::Drop { index: true, name } => {
                 let mut inner = self.inner.write();
                 let def = inner.catalog.remove_index(&name)?;
@@ -812,30 +773,33 @@ impl Database {
                 inner.catalog.save(&self.dir)?;
                 Ok(0)
             }
-            Statement::Vacuum => {
-                let report = self.vacuum()?;
-                Ok(report.vacuumed_versions)
+            Statement::Vacuum => Ok(self.vacuum()?.vacuumed_versions),
+            Statement::Select(_) | Statement::Explain(_) => {
+                unreachable!("the pipeline runs reads itself")
             }
-            Statement::Explain(_) => Err(DbError::Plan("EXPLAIN returns rows; use query()".into())),
-            Statement::Select(_) => {
-                Err(DbError::Plan("execute() expects DDL/DML; use query()".into()))
-            }
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Exec(
-                "transaction control is per connection; use execute_txn() or a wire session".into(),
-            )),
         }
     }
 
-    /// `DELETE FROM table [WHERE …]` as one autocommit transaction.
-    fn delete_rows(&self, table: &str, predicate: Option<AstExpr>) -> Result<u64> {
-        let txn = self.txns.begin();
-        match self.delete_rows_in(table, predicate, txn) {
-            Ok(n) => {
-                self.commit_txn_inner(txn, false)?;
-                Ok(n)
-            }
+    /// Join `current` (or autocommit) for one DML statement. On error
+    /// inside an explicit transaction the whole transaction is rolled
+    /// back and the slot cleared; the original error (e.g.
+    /// [`DbError::TxnConflict`]) is returned unchanged so wire clients
+    /// see a stable error code.
+    fn dml_in(
+        &self,
+        current: &mut Option<TxnId>,
+        f: impl FnOnce(TxnId) -> Result<u64>,
+    ) -> Result<u64> {
+        let (t, autocommit) = match *current {
+            Some(t) => (t, false),
+            None => (self.txns.begin(), true),
+        };
+        match f(t) {
+            Ok(n) if autocommit => self.commit_txn_inner(t, false).map(|()| n),
+            Ok(n) => Ok(n),
             Err(e) => {
-                let _ = self.rollback_txn(txn);
+                let _ = self.rollback_txn(t);
+                *current = None;
                 Err(e)
             }
         }
@@ -854,12 +818,13 @@ impl Database {
         predicate: Option<AstExpr>,
         txn: TxnId,
     ) -> Result<u64> {
+        let _scope = self.registry.scope();
         let snapshot = self.txns.snapshot_of(txn)?;
-        let (tdef, heap, _idx_defs) = self.table_access(table)?;
+        let (tdef, heap, _) = self.table_access(table)?;
 
         // Compile the predicate against the table's own schema.
         let compiled = match predicate {
-            Some(ast) => Some(self.compile_table_predicate(&tdef, ast)?),
+            Some(ast) => Some(crate::plan::compile_single_table(&tdef, &ast, &self.functions)?),
             None => None,
         };
         let mut cursor = HeapCursor::new(heap.clone());
@@ -941,6 +906,7 @@ impl Database {
     /// removed physically (heap slot and index entries), delete claims
     /// are cleared — then drop it from the active set.
     pub fn rollback_txn(&self, txn: TxnId) -> Result<()> {
+        let _scope = self.registry.scope();
         let undo = self.txns.take_undo(txn)?;
         for rec in undo.into_iter().rev() {
             match rec {
@@ -953,8 +919,7 @@ impl Database {
                     // insert reviving it with an equal key must not
                     // have its fresh index entry swept up by ours.
                     for (cols, tree) in &idx_defs {
-                        let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-                        tree.delete(&encode_key(&key_vals), rid)?;
+                        tree.delete(&index_key(cols, &row), rid)?;
                     }
                     heap.delete(rid)?;
                 }
@@ -974,22 +939,10 @@ impl Database {
         self.txns.stats()
     }
 
-    /// Compile a WHERE expression against one table's columns (for DELETE).
-    fn compile_table_predicate(&self, tdef: &TableDef, ast: AstExpr) -> Result<crate::expr::Expr> {
-        crate::plan::compile_single_table(tdef, &ast, &self.functions)
-    }
-
     /// Recompute statistics for one table (the paper's `runstats`).
     pub fn runstats(&self, table: &str) -> Result<TableStats> {
-        let (heap, arity, key) = {
-            let inner = self.inner.read();
-            let tdef = inner
-                .catalog
-                .table(table)
-                .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?;
-            let key = tdef.name.to_ascii_lowercase();
-            (inner.heaps.get(&key).expect("heap").clone(), tdef.columns.len(), key)
-        };
+        let (tdef, heap, _) = self.table_access(table)?;
+        let arity = tdef.columns.len();
         let snapshot = self.txns.read_snapshot();
         let mut builder = StatsBuilder::new(arity);
         let mut cursor = HeapCursor::new(heap);
@@ -1001,7 +954,7 @@ impl Database {
             builder.add(&row, encoded_len(&row));
         }
         let stats = builder.finish();
-        self.inner.write().stats.insert(key, stats.clone());
+        self.inner.write().stats.insert(tdef.name.to_ascii_lowercase(), stats.clone());
         Ok(stats)
     }
 
@@ -1062,14 +1015,7 @@ impl Database {
     /// fresh snapshot (so uncommitted inserts and committed deletes are
     /// excluded).
     pub fn row_count(&self, table: &str) -> Result<u64> {
-        let heap = {
-            let inner = self.inner.read();
-            inner
-                .heaps
-                .get(&table.to_ascii_lowercase())
-                .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-                .clone()
-        };
+        let (_, heap, _) = self.table_access(table)?;
         let snapshot = self.txns.read_snapshot();
         let mut n = 0u64;
         heap.scan(|v| {
@@ -1118,30 +1064,17 @@ impl Database {
     /// with a [`Database::commit`] so the reclamation is durable.
     pub fn vacuum(&self) -> Result<VacuumReport> {
         let _span = crate::trace::span("vacuum");
+        let scope = self.registry.scope();
         let _serial = self.vacuum_serial.lock();
         // Reset the hint up front: deletes racing with this pass are
         // counted toward the *next* one.
         self.reclaim_hint.store(0, Ordering::Relaxed);
-        let engine0 = ENGINE.snapshot();
         let watermark = self.txns.vacuum_watermark();
         let mut vacuumed = 0u64;
         let inner = self.inner.read();
-        let tables: Vec<TableDef> = inner.catalog.tables().cloned().collect();
-        for tdef in &tables {
-            let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-            let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
-                .catalog
-                .indexes_of(&tdef.name)
-                .into_iter()
-                .map(|d| {
-                    let cols: Vec<usize> = d
-                        .columns
-                        .iter()
-                        .map(|c| tdef.column_index(c).expect("index column"))
-                        .collect();
-                    (cols, inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone())
-                })
-                .collect();
+        let tables: Vec<String> = inner.catalog.tables().map(|t| t.name.clone()).collect();
+        for name in &tables {
+            let (tdef, heap, idx_defs) = access_of(&inner, name)?;
             // Committed-dead versions below the watermark. A nonzero
             // `xmax` below the watermark is necessarily committed: an
             // active claimant's own id bounds the watermark from above,
@@ -1158,8 +1091,7 @@ impl Database {
             })?;
             for (rid, row) in victims {
                 for (cols, tree) in &idx_defs {
-                    let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-                    tree.delete(&encode_key(&key_vals), rid)?;
+                    tree.delete(&index_key(cols, &row), rid)?;
                 }
                 if heap.delete(rid)? {
                     vacuumed += 1;
@@ -1174,12 +1106,12 @@ impl Database {
             }
         }
         drop(inner);
-        ENGINE.vacuumed_versions.fetch_add(vacuumed, Ordering::Relaxed);
+        crate::metrics::count(|s| s.engine.vacuumed_versions += vacuumed);
         // Durability point: log every page the pass touched and fsync,
         // so a crash from here on replays the whole reclamation.
         self.commit()?;
-        let freed = ENGINE.snapshot().since(&engine0).freed_pages;
-        Ok(VacuumReport { watermark, vacuumed_versions: vacuumed, freed_pages: freed })
+        let freed_pages = scope.finish().engine.freed_pages;
+        Ok(VacuumReport { watermark, vacuumed_versions: vacuumed, freed_pages })
     }
 
     /// Checkpoint: commit, write every dirty page to its data file,
@@ -1189,6 +1121,7 @@ impl Database {
     /// accumulated since the last pass, a [`Database::vacuum`] runs
     /// first so the checkpointed state is also compact.
     pub fn checkpoint(&self) -> Result<()> {
+        let _scope = self.registry.scope();
         if self.auto_vacuum && self.reclaim_hint.load(Ordering::Relaxed) > 0 {
             self.vacuum()?;
         }
@@ -1242,9 +1175,10 @@ impl Database {
         &self.registry
     }
 
-    /// One unified snapshot of everything this process can measure:
-    /// query count + latency histogram (registry), buffer-pool and WAL
-    /// counters, engine counters, and live spill files. Two snapshots
+    /// One unified snapshot of everything this database can measure:
+    /// query count + latency histogram, the engine totals of its
+    /// finished statements (registry), buffer-pool and WAL counters, and
+    /// live spill files. Two snapshots
     /// taken around a workload diff with
     /// [`RegistrySnapshot::since`](crate::metrics::RegistrySnapshot::since).
     pub fn metrics_snapshot(&self) -> crate::metrics::RegistrySnapshot {
@@ -1253,7 +1187,7 @@ impl Database {
             latency: self.registry.latency(),
             pool: self.pool.stats_total(),
             wal: self.wal_stats().unwrap_or_default(),
-            engine: ENGINE.snapshot(),
+            engine: self.registry.totals().engine,
             net: self.registry.net().snapshot(),
             txn: self.txns.stats(),
             spill_files_live: self.spill_files_live() as u64,
@@ -1297,8 +1231,8 @@ impl Database {
     /// closes a measurement window and opens the next. Use
     /// [`Database::io_stats_total`] for cumulative counters, and see
     /// [`Database::drop_cache`] for how cache teardown interacts with
-    /// these windows. `explain_analyze` reads only the cumulative
-    /// counters, so it never disturbs a window.
+    /// these windows. `explain_analyze` counts its own fetches, so it
+    /// never disturbs a window.
     pub fn take_io_stats(&self) -> PoolStats {
         self.pool.take_stats()
     }
@@ -1331,6 +1265,36 @@ impl Drop for Database {
             let _ = self.close_inner();
         }
     }
+}
+
+/// [`Database::table_access`] under an already-held catalog lock.
+fn access_of(inner: &DbInner, table: &str) -> Result<TableAccess> {
+    let tdef = inner
+        .catalog
+        .table(table)
+        .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
+        .clone();
+    let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
+    let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
+        .catalog
+        .indexes_of(&tdef.name)
+        .into_iter()
+        .map(|d| {
+            let cols = d
+                .columns
+                .iter()
+                .map(|c| tdef.column_index(c).expect("index column exists"))
+                .collect::<Vec<_>>();
+            let tree = inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone();
+            (cols, tree)
+        })
+        .collect();
+    Ok((tdef, heap, idx_defs))
+}
+
+/// The B+Tree key of `row` in an index over columns `cols`.
+fn index_key(cols: &[usize], row: &[Value]) -> Vec<u8> {
+    encode_key(&cols.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
 }
 
 /// Take the exclusive lock on `dir/LOCK` that marks the directory as
@@ -1397,7 +1361,6 @@ fn coerce(v: &mut Value, c: &ColumnDef) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ForcedAccess;
     use crate::tempdir::TempDir;
 
     /// A database in a fresh directory; keep the [`TempDir`] alive while
@@ -1830,6 +1793,111 @@ mod tests {
     }
 
     #[test]
+    fn uncalled_functions_stay_out_of_query_metrics() {
+        let (_dir, db) = db("analyzeuncalled");
+        setup_speech(&db);
+        // A function an earlier statement called stays out of this report.
+        db.query("SELECT xtext(speech_line) FROM speech").unwrap();
+        let udfs = db.explain_analyze(ATTRIBUTION_QUERIES[1]).unwrap().metrics.udfs;
+        assert_eq!(udfs.iter().map(|u| u.name.as_str()).collect::<Vec<_>>(), ["findKeyInElm"]);
+        let totals: Vec<String> = db.udf_counters().into_iter().map(|u| u.name).collect();
+        assert_eq!(totals, ["findKeyInElm", "xtext"], "the database totals keep every call");
+    }
+
+    /// A database holding the three query shapes the concurrency test
+    /// analyzes: an `unnest` expansion, a `findKeyInElm` UDF filter and
+    /// an index probe.
+    fn attribution_db(tag: &str) -> (TempDir, Database) {
+        let (dir, db) = db(tag);
+        setup_speech(&db);
+        db.execute("CREATE TABLE speakers (speaker XADT)").unwrap();
+        db.execute("INSERT INTO speakers VALUES ('<s>s1</s><s>s2</s>'), ('<s>s1</s>')").unwrap();
+        db.execute("CREATE INDEX idx_speech_id ON speech (speechID)").unwrap();
+        db.runstats_all().unwrap();
+        (dir, db)
+    }
+
+    const ATTRIBUTION_QUERIES: [&str; 3] = [
+        "SELECT DISTINCT u.out FROM speakers, TABLE(unnest(speaker, 's')) u",
+        "SELECT speechID FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'HAMLET') = 1",
+        "SELECT speech_line FROM speech WHERE speechID = 11",
+    ];
+
+    /// Runs every attribution query `rounds` times and checks each report
+    /// against that query's solo run.
+    fn assert_reports_match(db: &Database, solo: &[QueryMetrics], rounds: usize, who: &str) {
+        for round in 0..rounds {
+            for (sql, want) in ATTRIBUTION_QUERIES.iter().zip(solo) {
+                let got = db.explain_analyze(sql).unwrap().metrics;
+                let at = format!("{who} round {round}: {sql}");
+                assert_eq!(got.engine, want.engine, "engine counters, {at}");
+                assert_eq!(got.udfs, want.udfs, "UDF calls and bytes, {at}");
+                assert_eq!(got.pool.fetches(), want.pool.fetches(), "pool fetches, {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_counters_are_exact_under_concurrency() {
+        let (_a_dir, a) = attribution_db("attr-a");
+        let (_b_dir, b) = attribution_db("attr-b");
+        let solo = |db: &Database| -> Vec<QueryMetrics> {
+            ATTRIBUTION_QUERIES.iter().map(|sql| db.explain_analyze(sql).unwrap().metrics).collect()
+        };
+        let (solo_a, solo_b) = (solo(&a), solo(&b));
+        assert_eq!(solo_a[0].engine.unnest_calls, 2, "two outer rows unnested");
+        assert_eq!(solo_a[1].udfs[0].calls, 3, "findKeyInElm once per speech row");
+        assert!(solo_a[2].engine.index_probes > 0, "the point read probes the index");
+        let before = a.metrics_snapshot();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (a, solo_a) = (&a, &solo_a);
+                s.spawn(move || assert_reports_match(a, solo_a, 50, &format!("thread {t}")));
+            }
+            s.spawn(|| assert_reports_match(&b, &solo_b, 50, "second database"));
+        });
+        // The database's totals hold exactly its own statements' work.
+        let mut want = crate::metrics::EngineStats::default();
+        solo_a.iter().cycle().take(3 * 4 * 50).for_each(|m| want.add(&m.engine));
+        assert_eq!(a.metrics_snapshot().since(&before).engine, want);
+    }
+
+    #[test]
+    fn concurrent_vacuums_report_their_own_database() {
+        std::thread::scope(|s| {
+            for tag in ["vacuum-own-a", "vacuum-own-b"] {
+                s.spawn(move || {
+                    let (_dir, db) = db(tag);
+                    setup_churn(&db, 0);
+                    for round in 0..10 {
+                        fill_churn(&db, 200);
+                        db.execute("DELETE FROM churn").unwrap();
+                        let before = db.metrics_snapshot();
+                        let r = db.vacuum().unwrap();
+                        let delta = db.metrics_snapshot().since(&before).engine;
+                        assert!(r.freed_pages > 0, "{tag} round {round}: {r:?}");
+                        let own = (delta.vacuumed_versions, delta.freed_pages);
+                        assert_eq!(
+                            (r.vacuumed_versions, r.freed_pages),
+                            own,
+                            "{tag} round {round}"
+                        );
+                        // SQL VACUUM nests the pass's scope in the
+                        // statement's: the totals count it once.
+                        fill_churn(&db, 1);
+                        db.execute("DELETE FROM churn").unwrap();
+                        let before = db.metrics_snapshot();
+                        let out = db.run("VACUUM", &mut Session::new()).unwrap();
+                        assert_eq!(out, Output::Affected(1), "{tag} round {round}");
+                        let delta = db.metrics_snapshot().since(&before).engine;
+                        assert_eq!(delta.vacuumed_versions, 1, "{tag} round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn warm_scan_improves_hit_ratio() {
         let (_dir, db) = db("warmscan");
         db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
@@ -2137,17 +2205,30 @@ mod tests {
         let _guard = crate::trace::span_test_lock();
         crate::trace::spans_enable(crate::trace::DEFAULT_SPAN_CAPACITY);
         crate::trace::spans_clear();
+        // Tests on other threads record spans too: everything this test
+        // does hangs off one outer span, and only its descendants count.
+        let outer = crate::trace::span("test");
+        let outer_id = outer.id();
         let (_dir, db) = db("spans");
         setup_speech(&db);
         db.query("SELECT speechID FROM speech WHERE speech_parentID = 1").unwrap();
         db.commit().unwrap();
-        let spans = crate::trace::spans_snapshot();
+        drop(outer);
+        let all = crate::trace::spans_snapshot();
         crate::trace::spans_disable();
+        let parent_of: HashMap<u64, Option<u64>> = all.iter().map(|s| (s.id, s.parent)).collect();
+        let spans: Vec<_> = all
+            .iter()
+            .filter(|s| {
+                std::iter::successors(s.parent, |p| parent_of.get(p).copied().flatten())
+                    .any(|p| p == outer_id)
+            })
+            .collect();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         for phase in ["query", "parse", "plan", "exec", "commit"] {
             assert!(names.contains(&phase), "missing {phase} span in {names:?}");
         }
-        // parse/plan/exec are children of the root query span.
+        // parse/plan/exec are children of the query span.
         let query = spans.iter().find(|s| s.name == "query").unwrap();
         let kids = spans.iter().filter(|s| s.parent == Some(query.id)).count();
         assert!(kids >= 3, "query span has {kids} children, expected parse/plan/exec");
@@ -2246,7 +2327,8 @@ mod tests {
             report.vacuumed_versions, 0,
             "versions visible to the open snapshot survive: {report:?}"
         );
-        let r = db.query_in("SELECT speechID FROM speech", None, Some(t)).unwrap();
+        let mut pinned = Session { txn: Some(t), ..Session::new() };
+        let r = db.run("SELECT speechID FROM speech", &mut pinned).unwrap().into_rows().unwrap();
         assert_eq!(r.len(), 3, "the pinned snapshot still reads the pre-delete rows");
         db.commit_txn(t).unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "releasing the pin unblocks reclaim");
@@ -2256,9 +2338,12 @@ mod tests {
     /// asserts both paths return the same rows. `speech` must carry an
     /// index on `speechID` and `sql` a sargable predicate on it.
     fn scans_agree(db: &Database, sql: &str, txn: Option<TxnId>) -> QueryResult {
-        let forced = |access| PlanForcing { access: Some(access), ..PlanForcing::default() };
-        let seq = db.query_in(sql, Some(forced(ForcedAccess::SeqScan)), txn).unwrap();
-        let idx = db.query_in(sql, Some(forced(ForcedAccess::IndexScan)), txn).unwrap();
+        let run = |access| {
+            let forcing = PlanForcing { access: Some(access), ..PlanForcing::default() };
+            db.run(sql, &mut Session { forcing, txn }).unwrap().into_rows().unwrap()
+        };
+        let seq = run(ForcedAccess::SeqScan);
+        let idx = run(ForcedAccess::IndexScan);
         assert_eq!(seq.rows, idx.rows, "seq scan diverged from index scan on {sql}");
         seq
     }
@@ -2275,9 +2360,9 @@ mod tests {
         db.execute("CREATE INDEX idx_speech_id ON speech (speechID)").unwrap();
         let t = db.begin_txn();
         // Another connection inserts but never commits...
-        let mut other = None;
-        db.execute_txn("BEGIN", &mut other).unwrap();
-        db.execute_txn(
+        let mut other = Session::new();
+        db.run("BEGIN", &mut other).unwrap();
+        db.run(
             "INSERT INTO speech VALUES (13, 2, 'ACT', \
              '<SPEAKER>GHOST</SPEAKER>', '<LINE>mark me</LINE>')",
             &mut other,
@@ -2296,7 +2381,7 @@ mod tests {
         };
         check(Some(t), 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
         check(None, 4, "fresh snapshot hides only the uncommitted insert");
-        db.execute_txn("ROLLBACK", &mut other).unwrap();
+        db.run("ROLLBACK", &mut other).unwrap();
         db.commit_txn(t).unwrap();
         check(None, 4, "rollback leaves the aborted insert invisible to both paths");
     }

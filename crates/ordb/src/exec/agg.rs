@@ -238,9 +238,7 @@ impl HashAggregate {
             }
             if may_spill && writers.is_none() && self.spill.as_ref().expect("checked").over(bytes) {
                 let spill = self.spill.as_ref().expect("checked");
-                crate::metrics::ENGINE
-                    .agg_spills
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                crate::metrics::count(|s| s.engine.agg_spills += 1);
                 writers =
                     Some((0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?);
             }
@@ -367,7 +365,7 @@ impl Distinct {
     /// (original markers) into hash partitions, then arm `grace`.
     fn overflow(&mut self) -> Result<()> {
         let spill = self.spill.clone().expect("overflow requires a spill config");
-        crate::metrics::ENGINE.agg_spills.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|s| s.engine.agg_spills += 1);
         let mut writers: Vec<SpillWriter> =
             (0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?;
         let mut rec: Row = Vec::new();

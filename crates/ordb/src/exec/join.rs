@@ -349,9 +349,7 @@ impl HashJoin {
     /// side into per-partition spill files.
     fn grace_partition(&mut self, keyed: Vec<(Vec<Value>, Row)>, mut build: BoxOp) -> Result<()> {
         let spill = self.spill.clone().expect("grace requires a spill config");
-        crate::metrics::ENGINE
-            .join_partitions
-            .fetch_add(SPILL_FANOUT as u64, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|s| s.engine.join_partitions += SPILL_FANOUT as u64);
 
         let mut build_writers = new_writers(&spill)?;
         for (key, row) in keyed {
@@ -781,8 +779,8 @@ mod tests {
         for budget in [256usize, 1024, 4096] {
             let (_dir, cfg) = spill_config(&format!("grace-{budget}"), budget);
             let manager = cfg.manager.clone();
-            let before =
-                crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
+            let registry = crate::metrics::MetricsRegistry::new();
+            let scope = registry.scope();
             let grace = collect(Box::new(HashJoin::with_spill(
                 Box::new(Values::new(l.clone())),
                 Box::new(Values::new(r.clone())),
@@ -795,9 +793,8 @@ mod tests {
             .unwrap();
             // Grace emits partition by partition, so compare as multisets.
             assert_eq!(sorted(grace), sorted(in_mem.clone()), "budget {budget}");
-            let after =
-                crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
-            assert!(after > before, "budget {budget} should have partitioned");
+            let partitions = scope.finish().engine.join_partitions;
+            assert!(partitions > 0, "budget {budget} should have partitioned");
             assert_eq!(manager.live_files(), 0, "spill files must be gone after the join");
         }
     }

@@ -18,13 +18,11 @@
 //! registered as UDFs exactly as the paper implemented them in DB2.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xadt::XadtValue;
 
 use crate::error::{DbError, Result};
-use crate::metrics::UdfCounters;
 use crate::tuple::{decode_row, encode_row};
 use crate::types::Value;
 
@@ -55,15 +53,13 @@ pub struct FunctionDef {
     pub path: CallPath,
     /// Accepted argument counts (inclusive range).
     pub arity: (usize, usize),
-    /// Cumulative successful+failed invocations (observability).
-    calls: AtomicU64,
-    /// Cumulative bytes copied through the UDF call buffer; FENCED mode's
-    /// second copy counts double. Stays 0 for built-ins.
-    marshalled_bytes: AtomicU64,
 }
 
 impl FunctionDef {
-    /// Invoke the function through its call path.
+    /// Invoke the function through its call path. Every call, failed or
+    /// not, is counted into the running statement's block together with
+    /// the bytes copied through the UDF call buffer (FENCED mode's second
+    /// copy counts double; built-ins copy nothing).
     pub fn call(&self, args: &[Value]) -> Result<Value> {
         if args.len() < self.arity.0 || args.len() > self.arity.1 {
             return Err(DbError::Exec(format!(
@@ -74,7 +70,14 @@ impl FunctionDef {
                 args.len()
             )));
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        let mut marshalled = 0;
+        let result = self.invoke(args, &mut marshalled);
+        crate::metrics::count(|s| s.add_udf(&self.name, 1, marshalled));
+        result
+    }
+
+    /// Run the call path, adding the bytes it copies to `marshalled`.
+    fn invoke(&self, args: &[Value], marshalled: &mut u64) -> Result<Value> {
         match self.path {
             CallPath::Builtin => (self.imp)(args),
             CallPath::Udf { fenced } => {
@@ -100,7 +103,7 @@ impl FunctionDef {
                 let mut buf = Vec::new();
                 encode_row(&scalars, &mut buf);
                 let copies = if fenced { 2 } else { 1 };
-                self.marshalled_bytes.fetch_add(copies * buf.len() as u64, Ordering::Relaxed);
+                *marshalled += copies * buf.len() as u64;
                 let buf = if fenced { buf.clone() } else { buf };
                 let mut callee_args = decode_row(&buf, scalars.len())?;
                 for (slot, loc) in callee_args.iter_mut().zip(locators) {
@@ -117,7 +120,7 @@ impl FunctionDef {
                 }
                 let mut rbuf = Vec::new();
                 encode_row(std::slice::from_ref(&result), &mut rbuf);
-                self.marshalled_bytes.fetch_add(copies * rbuf.len() as u64, Ordering::Relaxed);
+                *marshalled += copies * rbuf.len() as u64;
                 let rbuf = if fenced { rbuf.clone() } else { rbuf };
                 let mut row = decode_row(&rbuf, 1)?;
                 Ok(row.pop().expect("one result"))
@@ -176,37 +179,13 @@ impl FunctionRegistry {
     pub fn register(&mut self, name: &str, imp: ScalarImpl, path: CallPath, arity: (usize, usize)) {
         self.map.insert(
             name.to_ascii_lowercase(),
-            Arc::new(FunctionDef {
-                name: name.to_string(),
-                imp,
-                path,
-                arity,
-                calls: AtomicU64::new(0),
-                marshalled_bytes: AtomicU64::new(0),
-            }),
+            Arc::new(FunctionDef { name: name.to_string(), imp, path, arity }),
         );
     }
 
     /// Look up a function (case-insensitive).
     pub fn get(&self, name: &str) -> Option<Arc<FunctionDef>> {
         self.map.get(&name.to_ascii_lowercase()).cloned()
-    }
-
-    /// Cumulative call counters of every registered function, sorted by
-    /// name. Bracket a query with two snapshots and diff with
-    /// [`crate::metrics::udf_delta`].
-    pub fn counters(&self) -> Vec<UdfCounters> {
-        let mut out: Vec<UdfCounters> = self
-            .map
-            .values()
-            .map(|d| UdfCounters {
-                name: d.name.clone(),
-                calls: d.calls.load(Ordering::Relaxed),
-                marshalled_bytes: d.marshalled_bytes.load(Ordering::Relaxed),
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
     }
 }
 

@@ -373,7 +373,7 @@ impl BTree {
         mut f: impl FnMut(&[u8], Rid) -> Result<bool>,
     ) -> Result<()> {
         // One probe = one descent; prefix and range scans both land here.
-        crate::metrics::ENGINE.index_probes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|s| s.engine.index_probes += 1);
         let (mut pid, mut idx) = self.find_leaf(lo)?;
         loop {
             let frame = self.pool.fetch(self.file, pid)?;

@@ -54,7 +54,7 @@ pub mod txn;
 pub mod types;
 
 pub use catalog::{ColumnDef, IndexDef, TableDef};
-pub use db::{AnalyzeReport, Database, DbOptions, QueryResult, VacuumReport};
+pub use db::{AnalyzeReport, Database, DbOptions, Output, QueryResult, Session, VacuumReport};
 pub use error::{DbError, Result};
 pub use metrics::QueryMetrics;
 pub use net::{Client, Server, ServerHandle};

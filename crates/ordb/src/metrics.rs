@@ -1,4 +1,4 @@
-//! Engine observability: cheap atomic counters and per-query snapshots.
+//! Engine observability: per-statement counters and per-query roll-ups.
 //!
 //! The paper's evaluation (§4) argues from *where time goes* — join work
 //! vs. in-fragment XADT evaluation, buffer-pool behaviour on a small
@@ -10,20 +10,24 @@
 //!   rows out, inclusive wall time);
 //! * [`Profiler`] — collects wrapped plan nodes during planning and
 //!   produces a nested [`OperatorProfile`] tree afterwards;
-//! * [`EngineCounters`] / [`ENGINE`] — process-wide counters for events
-//!   that are awkward to thread through call chains (index probes, sort
-//!   volume, `unnest` expansions). Deltas of [`EngineCounters::snapshot`]
-//!   bracket a query. The engine runs single-stream workloads (see
-//!   DESIGN.md); concurrent queries would attribute each other's counts.
+//! * [`StmtStats`] — the counter block a running statement owns: engine
+//!   events ([`EngineStats`]: index probes, sort volume, `unnest`
+//!   expansions, vacuum work), buffer-pool fetches, WAL traffic and UDF
+//!   calls. A [`StmtScope`] makes it current on the statement's thread
+//!   and code deep in the engine adds into it through `count`, so a
+//!   statement is billed for exactly its own work even while others run
+//!   beside it. Closed blocks fold into the database's
+//!   [`MetricsRegistry`].
 //! * [`QueryMetrics`] — the per-query roll-up rendered by
 //!   `Database::explain_analyze` and exported as JSON by the bench
 //!   harness.
 //!
-//! Overhead: every counter is a relaxed `AtomicU64` add. The plain
-//! `query()` path constructs no [`Instrumented`] wrappers at all (the
-//! profiler is disabled), so per-row cost there is zero; the global
-//! counters cost one uncontended atomic add per probe/sort/unnest event.
+//! Overhead: the plain `query()` path constructs no [`Instrumented`]
+//! wrappers at all (the profiler is disabled), so per-row cost there is
+//! zero; a counted event is one thread-local add, and a statement's
+//! block folds into the registry under one lock when it ends.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,11 +128,6 @@ impl Profiler {
         Profiler { nodes: Some(Vec::new()) }
     }
 
-    /// Whether this profiler records.
-    pub fn is_enabled(&self) -> bool {
-        self.nodes.is_some()
-    }
-
     /// Wrap `op` in an [`Instrumented`] node
     /// labelled `label`, registering `children` (ids returned by earlier
     /// `wrap` calls) as its plan children. Returns the (possibly wrapped)
@@ -189,122 +188,176 @@ pub fn record_operator_spans(profile: &OperatorProfile, parent: u64) {
     }
 }
 
-// ---- engine-wide counters ----------------------------------------------
+// ---- statement-scoped counters -----------------------------------------
 
-/// Process-wide counters for events deep inside the engine. Bracket a
-/// query with two [`EngineCounters::snapshot`]s and subtract.
-#[derive(Debug, Default)]
-pub struct EngineCounters {
+/// Engine events counted per statement: the `engine` part of a
+/// [`StmtStats`] block, of [`QueryMetrics`], and of a database's
+/// [`RegistrySnapshot`] totals.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EngineStats {
     /// B+Tree descents (one per `scan_from`, which underlies prefix and
     /// range scans and therefore every index probe).
-    pub index_probes: AtomicU64,
+    pub index_probes: u64,
     /// Rows materialized by `Sort` operators.
-    pub sort_rows: AtomicU64,
+    pub sort_rows: u64,
     /// Sorted runs spilled to disk by the external merge sort (0 when
     /// every sort fit its memory budget).
-    pub sort_spills: AtomicU64,
+    pub sort_spills: u64,
     /// Framed bytes written to spill files by any operator (sort runs,
     /// join partitions, aggregation partitions).
-    pub spill_bytes: AtomicU64,
+    pub spill_bytes: u64,
     /// Partition files created by Grace hash joins whose build side
     /// exceeded the memory budget.
-    pub join_partitions: AtomicU64,
+    pub join_partitions: u64,
     /// Hash aggregation / DISTINCT overflows that switched to
     /// partition-and-retry.
-    pub agg_spills: AtomicU64,
+    pub agg_spills: u64,
     /// `unnest` table-function expansions (one per outer row unnested).
-    pub unnest_calls: AtomicU64,
+    pub unnest_calls: u64,
     /// Bytes of XADT fragment content fed through `unnest` (the table-UDF
     /// analogue of scalar-UDF marshalling bytes).
-    pub unnest_bytes: AtomicU64,
+    pub unnest_bytes: u64,
     /// Dead versions physically reclaimed by vacuum (slot freed, index
     /// entries removed, overflow chain released).
-    pub vacuumed_versions: AtomicU64,
+    pub vacuumed_versions: u64,
     /// Heap pages (overflow-chain pages and fully-emptied data pages)
     /// returned to the free-space map for reuse.
-    pub freed_pages: AtomicU64,
+    pub freed_pages: u64,
     /// Inserts that landed in a reclaimed slot or reused a freed page
     /// instead of growing the file.
-    pub reused_slots: AtomicU64,
-}
-
-/// The global counter instance.
-pub static ENGINE: EngineCounters = EngineCounters {
-    index_probes: AtomicU64::new(0),
-    sort_rows: AtomicU64::new(0),
-    sort_spills: AtomicU64::new(0),
-    spill_bytes: AtomicU64::new(0),
-    join_partitions: AtomicU64::new(0),
-    agg_spills: AtomicU64::new(0),
-    unnest_calls: AtomicU64::new(0),
-    unnest_bytes: AtomicU64::new(0),
-    vacuumed_versions: AtomicU64::new(0),
-    freed_pages: AtomicU64::new(0),
-    reused_slots: AtomicU64::new(0),
-};
-
-/// A point-in-time copy of [`EngineCounters`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EngineSnapshot {
-    /// See [`EngineCounters::index_probes`].
-    pub index_probes: u64,
-    /// See [`EngineCounters::sort_rows`].
-    pub sort_rows: u64,
-    /// See [`EngineCounters::sort_spills`].
-    pub sort_spills: u64,
-    /// See [`EngineCounters::spill_bytes`].
-    pub spill_bytes: u64,
-    /// See [`EngineCounters::join_partitions`].
-    pub join_partitions: u64,
-    /// See [`EngineCounters::agg_spills`].
-    pub agg_spills: u64,
-    /// See [`EngineCounters::unnest_calls`].
-    pub unnest_calls: u64,
-    /// See [`EngineCounters::unnest_bytes`].
-    pub unnest_bytes: u64,
-    /// See [`EngineCounters::vacuumed_versions`].
-    pub vacuumed_versions: u64,
-    /// See [`EngineCounters::freed_pages`].
-    pub freed_pages: u64,
-    /// See [`EngineCounters::reused_slots`].
     pub reused_slots: u64,
 }
 
-impl EngineCounters {
-    /// Copy the current counter values.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            index_probes: self.index_probes.load(Ordering::Relaxed),
-            sort_rows: self.sort_rows.load(Ordering::Relaxed),
-            sort_spills: self.sort_spills.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            join_partitions: self.join_partitions.load(Ordering::Relaxed),
-            agg_spills: self.agg_spills.load(Ordering::Relaxed),
-            unnest_calls: self.unnest_calls.load(Ordering::Relaxed),
-            unnest_bytes: self.unnest_bytes.load(Ordering::Relaxed),
-            vacuumed_versions: self.vacuumed_versions.load(Ordering::Relaxed),
-            freed_pages: self.freed_pages.load(Ordering::Relaxed),
-            reused_slots: self.reused_slots.load(Ordering::Relaxed),
+impl EngineStats {
+    /// Counter growth since `earlier` (saturating).
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        self.combine(earlier, u64::saturating_sub)
+    }
+
+    /// Add every counter of `other` into `self`.
+    pub(crate) fn add(&mut self, other: &EngineStats) {
+        *self = self.combine(other, |a, b| a + b);
+    }
+
+    fn combine(&self, other: &EngineStats, f: impl Fn(u64, u64) -> u64) -> EngineStats {
+        let (mut out, mut other) = (*self, *other);
+        for (a, b) in out.fields_mut().into_iter().zip(other.fields_mut()) {
+            *a = f(*a, *b);
+        }
+        out
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.index_probes,
+            &mut self.sort_rows,
+            &mut self.sort_spills,
+            &mut self.spill_bytes,
+            &mut self.join_partitions,
+            &mut self.agg_spills,
+            &mut self.unnest_calls,
+            &mut self.unnest_bytes,
+            &mut self.vacuumed_versions,
+            &mut self.freed_pages,
+            &mut self.reused_slots,
+        ]
+    }
+}
+
+/// The counter block one statement owns: engine events, buffer-pool
+/// fetches, WAL traffic and UDF calls caused by the statement's own
+/// thread. Code deep in the engine adds into it through `count`; the
+/// [`StmtScope`] that opened it hands it back when the statement ends.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct StmtStats {
+    /// Engine events.
+    pub engine: EngineStats,
+    /// Buffer-pool hits, misses, evictions and write-backs.
+    pub pool: PoolStats,
+    /// WAL appends, bytes and fsyncs.
+    pub wal: WalStats,
+    /// Calls and marshalled bytes per function actually called, sorted
+    /// by name.
+    pub udfs: Vec<UdfCounters>,
+}
+
+impl StmtStats {
+    /// Count `calls` calls of function `name` that marshalled `bytes`.
+    pub(crate) fn add_udf(&mut self, name: &str, calls: u64, bytes: u64) {
+        match self.udfs.binary_search_by(|u| u.name.as_str().cmp(name)) {
+            Ok(i) => {
+                self.udfs[i].calls += calls;
+                self.udfs[i].marshalled_bytes += bytes;
+            }
+            Err(i) => self
+                .udfs
+                .insert(i, UdfCounters { name: name.to_string(), calls, marshalled_bytes: bytes }),
+        }
+    }
+
+    /// Add the engine and UDF counters of `other` into `self`. Pool and
+    /// WAL counts stay with the scope that made them: only a SELECT
+    /// reports them, and a SELECT opens no inner scope.
+    pub(crate) fn add(&mut self, other: &StmtStats) {
+        self.engine.add(&other.engine);
+        for u in &other.udfs {
+            self.add_udf(&u.name, u.calls, u.marshalled_bytes);
         }
     }
 }
 
-impl EngineSnapshot {
-    /// Counter growth since `earlier` (saturating).
-    pub fn since(&self, earlier: &EngineSnapshot) -> EngineSnapshot {
-        EngineSnapshot {
-            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
-            sort_rows: self.sort_rows.saturating_sub(earlier.sort_rows),
-            sort_spills: self.sort_spills.saturating_sub(earlier.sort_spills),
-            spill_bytes: self.spill_bytes.saturating_sub(earlier.spill_bytes),
-            join_partitions: self.join_partitions.saturating_sub(earlier.join_partitions),
-            agg_spills: self.agg_spills.saturating_sub(earlier.agg_spills),
-            unnest_calls: self.unnest_calls.saturating_sub(earlier.unnest_calls),
-            unnest_bytes: self.unnest_bytes.saturating_sub(earlier.unnest_bytes),
-            vacuumed_versions: self.vacuumed_versions.saturating_sub(earlier.vacuumed_versions),
-            freed_pages: self.freed_pages.saturating_sub(earlier.freed_pages),
-            reused_slots: self.reused_slots.saturating_sub(earlier.reused_slots),
+thread_local! {
+    /// The block of the statement running on this thread, if any. A
+    /// statement executes entirely on its calling thread, so everything
+    /// it causes lands here and nothing a neighbour does can.
+    static STMT: RefCell<Option<StmtStats>> = const { RefCell::new(None) };
+}
+
+/// Add into the running statement's block; a no-op when no
+/// [`StmtScope`] is open on this thread.
+pub(crate) fn count(f: impl FnOnce(&mut StmtStats)) {
+    STMT.with(|s| {
+        if let Some(stats) = s.borrow_mut().as_mut() {
+            f(stats);
         }
+    });
+}
+
+/// An open counter block on this thread (see `MetricsRegistry::scope`).
+/// Closing it — [`StmtScope::finish`] or drop — adds the block into the
+/// enclosing scope's when there is one (so nested work, such as SQL
+/// `VACUUM` inside a statement, is counted once) and otherwise folds it
+/// into the registry's per-database totals.
+pub struct StmtScope<'r> {
+    registry: &'r MetricsRegistry,
+    /// The enclosing block, set aside while this one is current; taken
+    /// when the scope closes.
+    outer: Option<Option<StmtStats>>,
+}
+
+impl StmtScope<'_> {
+    /// Close the scope and return its own block.
+    pub fn finish(mut self) -> StmtStats {
+        self.close()
+    }
+
+    fn close(&mut self) -> StmtStats {
+        let Some(outer) = self.outer.take() else { return StmtStats::default() };
+        STMT.with(|s| {
+            let mut current = s.borrow_mut();
+            let own = std::mem::replace(&mut *current, outer).unwrap_or_default();
+            match current.as_mut() {
+                Some(enclosing) => enclosing.add(&own),
+                None => self.registry.fold(&own),
+            }
+            own
+        })
+    }
+}
+
+impl Drop for StmtScope<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -620,17 +673,21 @@ impl NetSnapshot {
 // ---- the metrics registry -----------------------------------------------
 
 /// One registry per [`Database`](crate::db::Database): unifies the
-/// process-wide [`ENGINE`] counters, the instance's buffer-pool / WAL /
-/// spill stats, and a per-query latency histogram behind a single
-/// snapshot-diff API. Bracket a workload with two
+/// engine and UDF totals of the database's finished statements, the
+/// instance's buffer-pool / WAL / spill stats, and a per-query latency
+/// histogram behind a single snapshot-diff API. Bracket a workload with two
 /// [`RegistrySnapshot`]s and [`RegistrySnapshot::since`] to get exactly
-/// what it did — the pattern `EXPLAIN ANALYZE`, `metrics.json`, and the
-/// trajectory bench all share.
+/// what it did — the pattern `metrics.json` and the trajectory bench
+/// share.
 #[derive(Default)]
 pub struct MetricsRegistry {
     latency: parking_lot::Mutex<Histogram>,
-    queries: AtomicU64,
     net: NetCounters,
+    /// The engine and UDF counters of every closed outermost
+    /// [`StmtScope`], summed (see [`StmtStats::add`]). Pool and WAL
+    /// totals come from the pool and the log, which also see work no
+    /// statement owns.
+    totals: parking_lot::Mutex<StmtStats>,
 }
 
 impl MetricsRegistry {
@@ -641,13 +698,12 @@ impl MetricsRegistry {
 
     /// Record one finished query's end-to-end wall time.
     pub fn record_query(&self, wall: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
         self.latency.lock().record_duration(wall);
     }
 
     /// Queries recorded so far.
     pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.latency.lock().count()
     }
 
     /// A copy of the latency histogram.
@@ -658,6 +714,24 @@ impl MetricsRegistry {
     /// The wire-protocol counters, for `ordb::net` to increment.
     pub fn net(&self) -> &NetCounters {
         &self.net
+    }
+
+    /// Open a statement's counter block on this thread; it stays current
+    /// until the returned scope closes.
+    pub(crate) fn scope(&self) -> StmtScope<'_> {
+        let outer = STMT.with(|s| s.replace(Some(StmtStats::default())));
+        StmtScope { registry: self, outer: Some(outer) }
+    }
+
+    fn fold(&self, block: &StmtStats) {
+        if block.engine != EngineStats::default() || !block.udfs.is_empty() {
+            self.totals.lock().add(block);
+        }
+    }
+
+    /// The engine and UDF counters of every finished statement, summed.
+    pub fn totals(&self) -> StmtStats {
+        self.totals.lock().clone()
     }
 }
 
@@ -674,8 +748,8 @@ pub struct RegistrySnapshot {
     pub pool: PoolStats,
     /// Cumulative WAL counters (all-zero with durability off).
     pub wal: WalStats,
-    /// Process-wide engine counters (see [`EngineCounters`]).
-    pub engine: EngineSnapshot,
+    /// Engine counters summed over the database's finished statements.
+    pub engine: EngineStats,
     /// Wire-protocol counters (all-zero unless a server is attached).
     pub net: NetSnapshot,
     /// Transaction counters (begun / committed / aborted / conflicts).
@@ -765,22 +839,6 @@ pub struct UdfCounters {
     pub marshalled_bytes: u64,
 }
 
-/// Per-function growth between two [`UdfCounters`] snapshots, dropping
-/// functions that were not called.
-pub fn udf_delta(before: &[UdfCounters], after: &[UdfCounters]) -> Vec<UdfCounters> {
-    let mut out = Vec::new();
-    for a in after {
-        let b = before.iter().find(|b| b.name == a.name);
-        let calls = a.calls.saturating_sub(b.map_or(0, |b| b.calls));
-        let bytes = a.marshalled_bytes.saturating_sub(b.map_or(0, |b| b.marshalled_bytes));
-        if calls > 0 {
-            out.push(UdfCounters { name: a.name.clone(), calls, marshalled_bytes: bytes });
-        }
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
 // ---- the per-query roll-up ---------------------------------------------
 
 /// Everything measured about one query execution.
@@ -796,14 +854,16 @@ pub struct QueryMetrics {
     pub wall: Duration,
     /// Rows returned.
     pub rows: u64,
-    /// Buffer-pool activity during execution (delta, not cumulative).
+    /// Buffer-pool activity of this statement.
     pub pool: PoolStats,
-    /// WAL activity during execution (delta; all-zero with durability
-    /// off or for read-only queries).
+    /// WAL activity of this statement (all-zero with durability off or
+    /// for read-only queries).
     pub wal: WalStats,
-    /// Engine counter deltas (index probes, sort volume, unnest).
-    pub engine: EngineSnapshot,
-    /// Per-function call/marshalling deltas, functions actually called.
+    /// Engine events of this statement (index probes, sort volume,
+    /// unnest).
+    pub engine: EngineStats,
+    /// Per-function calls and marshalled bytes, functions actually
+    /// called, sorted by name.
     pub udfs: Vec<UdfCounters>,
     /// The annotated operator tree, root first.
     pub root: Option<OperatorProfile>,
@@ -1028,20 +1088,6 @@ mod tests {
     }
 
     #[test]
-    fn udf_delta_drops_uncalled() {
-        let before = vec![
-            UdfCounters { name: "getElm".into(), calls: 5, marshalled_bytes: 100 },
-            UdfCounters { name: "xtext".into(), calls: 2, marshalled_bytes: 8 },
-        ];
-        let after = vec![
-            UdfCounters { name: "getElm".into(), calls: 9, marshalled_bytes: 180 },
-            UdfCounters { name: "xtext".into(), calls: 2, marshalled_bytes: 8 },
-        ];
-        let d = udf_delta(&before, &after);
-        assert_eq!(d, vec![UdfCounters { name: "getElm".into(), calls: 4, marshalled_bytes: 80 }]);
-    }
-
-    #[test]
     fn json_is_well_formed_enough() {
         let m = QueryMetrics {
             parse: Duration::from_micros(10),
@@ -1057,7 +1103,7 @@ mod tests {
                 checkpoints: 0,
                 ..Default::default()
             },
-            engine: EngineSnapshot {
+            engine: EngineStats {
                 index_probes: 1,
                 sort_spills: 2,
                 spill_bytes: 4096,
@@ -1266,7 +1312,7 @@ mod tests {
                 checkpoints: 0,
                 ..Default::default()
             },
-            engine: EngineSnapshot { index_probes: 7, ..Default::default() },
+            engine: EngineStats { index_probes: 7, ..Default::default() },
             net: NetSnapshot::default(),
             txn: crate::txn::TxnStats::default(),
             spill_files_live: 0,
@@ -1283,7 +1329,7 @@ mod tests {
                 checkpoints: 0,
                 ..Default::default()
             },
-            engine: EngineSnapshot { index_probes: 9, ..Default::default() },
+            engine: EngineStats { index_probes: 9, ..Default::default() },
             net: NetSnapshot { connections: 2, frames_in: 40, ..Default::default() },
             txn: crate::txn::TxnStats { begun: 4, committed: 3, aborted: 1, conflicts: 1 },
             spill_files_live: 2,

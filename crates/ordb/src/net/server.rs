@@ -17,11 +17,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::db::Database;
+use crate::db::{Database, Entry, Output, Session};
 use crate::error::Result;
 
 use super::frame::{read_frame, server_handshake, write_frame};
-use super::{Request, Response, Session};
+use super::{Request, Response};
 
 /// A bound-but-not-yet-serving TCP server over a shared [`Database`].
 pub struct Server {
@@ -123,8 +123,8 @@ fn serve_connection(db: &Database, mut stream: TcpStream) -> Result<()> {
     // mid-transaction, or a broken frame layer — an open explicit
     // transaction is aborted here so it can neither leak uncommitted
     // versions nor pin the checkpoint watermark forever.
-    if let Some(txn) = session.txn_mut().take() {
-        let _ = db.rollback_txn(txn);
+    if session.txn().is_some() {
+        let _ = db.run("ROLLBACK", &mut session);
     }
     result
 }
@@ -171,15 +171,18 @@ fn statement_loop(
 }
 
 fn handle(db: &Database, session: &mut Session, req: Request) -> Response {
+    let mut run = |sql: &str, entry| db.pipeline(sql, session, entry).map(|(out, _)| out);
     let result: Result<Response> = match req {
         Request::Ping => Ok(Response::Pong),
         Request::Query(sql) => {
-            db.query_in(&sql, session.forcing(), session.txn()).map(Response::Rows)
+            run(&sql, Entry::Query).and_then(Output::into_rows).map(Response::Rows)
         }
         Request::Explain(sql) => {
-            db.explain_with_forcing(&sql, session.forcing()).map(Response::Plan)
+            run(&sql, Entry::Explain).and_then(Output::into_plan).map(Response::Plan)
         }
-        Request::Execute(sql) => db.execute_txn(&sql, session.txn_mut()).map(Response::Affected),
+        Request::Execute(sql) => {
+            run(&sql, Entry::Write).and_then(Output::into_affected).map(Response::Affected)
+        }
         Request::Commit => db.commit().map(Response::Affected),
         Request::Set { key, value } => session.set(&key, &value).map(|()| Response::Ok),
         Request::Close => Ok(Response::Bye),

@@ -177,14 +177,9 @@ struct BaseRef {
     arity: usize,
 }
 
-/// Plan a SELECT.
-pub fn plan_select(ctx: &PlanContext<'_>, q: &Select) -> Result<PhysicalPlan> {
-    plan_select_profiled(ctx, q, &mut Profiler::disabled())
-}
-
 /// Plan a SELECT, wrapping every operator in an instrumentation node when
-/// `prof` is recording (the `EXPLAIN ANALYZE` path). With a disabled
-/// profiler this is exactly [`plan_select`] — no wrappers are built.
+/// `prof` is recording (analyzed and traced runs). With a disabled
+/// profiler no wrappers are built.
 pub fn plan_select_profiled(
     ctx: &PlanContext<'_>,
     q: &Select,

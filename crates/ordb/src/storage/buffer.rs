@@ -426,6 +426,7 @@ impl BufferPool {
                 let mut guard = shard.lock();
                 if let Some(frame) = guard.frames.get(&key) {
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    crate::metrics::count(|s| s.pool.hits += 1);
                     frame.referenced.store(true, Ordering::Relaxed);
                     return Ok(FrameRef::pin(frame));
                 }
@@ -436,6 +437,7 @@ impl BufferPool {
                         let marker = Arc::new(Inflight::new());
                         guard.inflight.insert(key, marker.clone());
                         self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                        crate::metrics::count(|s| s.pool.misses += 1);
                         drop(guard);
                         return self.read_and_install(shard, key, marker);
                     }
@@ -543,6 +545,7 @@ impl BufferPool {
             }
             shard.frames.remove(&key);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            crate::metrics::count(|s| s.pool.evictions += 1);
             if frame.dirty.load(Ordering::Acquire) {
                 let marker = Arc::new(Inflight::new());
                 shard.inflight.insert(key, marker.clone());
@@ -587,6 +590,7 @@ impl BufferPool {
                 let mut page = frame.page.lock();
                 self.prepare_and_write(&frame, &mut page)?;
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                crate::metrics::count(|s| s.pool.writebacks += 1);
                 Ok(())
             })();
             shard.lock().inflight.remove(&key);
@@ -647,6 +651,7 @@ impl BufferPool {
                 }
                 if count {
                     self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                    crate::metrics::count(|s| s.pool.writebacks += 1);
                 }
             }
         }
@@ -709,8 +714,7 @@ impl BufferPool {
     }
 
     /// Cumulative counters since pool creation. Never resets and does not
-    /// affect [`BufferPool::take_stats`] windows — safe for
-    /// `explain_analyze` to bracket a query with.
+    /// affect [`BufferPool::take_stats`] windows.
     pub fn stats_total(&self) -> PoolStats {
         self.stats.snapshot()
     }

@@ -23,12 +23,11 @@
 //! when they are recycled.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::metrics::ENGINE;
+use crate::metrics::count;
 
 use crate::error::{DbError, Result};
 use crate::storage::buffer::{BufferPool, FileId, FrameRef};
@@ -232,7 +231,7 @@ impl HeapFile {
                 .insert(record)
                 .ok_or_else(|| DbError::Exec("record does not fit in an empty page".into()))?;
             frame.mark_dirty();
-            ENGINE.reused_slots.fetch_add(1, Relaxed);
+            count(|s| s.engine.reused_slots += 1);
             *self.insert_hint.lock() = Some(pid);
             return Ok(Rid { page: pid, slot: rid_slot(slot)? });
         }
@@ -258,7 +257,7 @@ impl HeapFile {
             Some((slot, reused)) => {
                 frame.mark_dirty();
                 if reused {
-                    ENGINE.reused_slots.fetch_add(1, Relaxed);
+                    count(|s| s.engine.reused_slots += 1);
                 }
                 Ok(Some(Rid { page: pid, slot: rid_slot(slot)? }))
             }
@@ -299,7 +298,7 @@ impl HeapFile {
         if let Some(pid) = self.fsm.lock().free.pop_first() {
             let frame = self.pool.fetch(self.file, pid)?;
             frame.page.lock().reinit();
-            ENGINE.reused_slots.fetch_add(1, Relaxed);
+            count(|s| s.engine.reused_slots += 1);
             return Ok((pid, frame));
         }
         self.pool.allocate(self.file)
@@ -362,7 +361,7 @@ impl HeapFile {
         drop(page);
         if emptied {
             self.fsm.lock().free.insert(rid.page);
-            ENGINE.freed_pages.fetch_add(1, Relaxed);
+            count(|s| s.engine.freed_pages += 1);
         } else {
             self.fsm.lock().data.insert(rid.page);
         }
@@ -408,7 +407,7 @@ impl HeapFile {
             freed += 1;
             pid = next;
         }
-        ENGINE.freed_pages.fetch_add(u64::from(freed), Relaxed);
+        count(|s| s.engine.freed_pages += u64::from(freed));
         Ok(freed)
     }
 
@@ -504,7 +503,7 @@ impl HeapFile {
                     drop(page);
                     if emptied {
                         self.fsm.lock().free.insert(rid.page);
-                        ENGINE.freed_pages.fetch_add(1, Relaxed);
+                        count(|s| s.engine.freed_pages += 1);
                     } else {
                         self.fsm.lock().data.insert(rid.page);
                     }
@@ -530,7 +529,7 @@ impl HeapFile {
             self.fsm.lock().free.insert(pid);
             freed += 1;
         }
-        ENGINE.freed_pages.fetch_add(freed, Relaxed);
+        count(|s| s.engine.freed_pages += freed);
         Ok((purged, freed))
     }
 

@@ -131,7 +131,7 @@ pub struct SpillWriter {
 
 impl SpillWriter {
     /// Append one row. Counts the framed bytes into
-    /// `ENGINE.spill_bytes`.
+    /// the statement's `spill_bytes`.
     pub fn add(&mut self, row: &[Value]) -> Result<()> {
         let arity = *self.arity.get_or_insert(row.len());
         debug_assert_eq!(row.len(), arity, "spill row arity mismatch");
@@ -143,7 +143,7 @@ impl SpillWriter {
         let framed = 4 + self.buf.len() as u64;
         self.rows += 1;
         self.bytes += framed;
-        crate::metrics::ENGINE.spill_bytes.fetch_add(framed, Ordering::Relaxed);
+        crate::metrics::count(|s| s.engine.spill_bytes += framed);
         Ok(())
     }
 

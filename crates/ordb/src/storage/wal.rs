@@ -146,13 +146,7 @@ pub struct Wal {
     /// Highest LSN known durable (its record is on disk and fsync'd).
     durable_lsn: AtomicU64,
     fault: Option<Arc<FaultInjector>>,
-    appends: AtomicU64,
-    bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    checkpoints: AtomicU64,
-    commit_records: AtomicU64,
-    group_commits: AtomicU64,
-    fsyncs_saved: AtomicU64,
+    stats: Mutex<WalStats>,
     /// Group-commit leader election (separate from `inner` so followers
     /// can wait without blocking appends). `std::sync` because the
     /// parking_lot shim has no condvar.
@@ -234,13 +228,7 @@ impl Wal {
             next_lsn: AtomicU64::new(next_lsn),
             durable_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
             fault,
-            appends: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            commit_records: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            fsyncs_saved: AtomicU64::new(0),
+            stats: Mutex::new(WalStats::default()),
             group: std::sync::Mutex::new(false),
             group_cv: std::sync::Condvar::new(),
         })
@@ -258,15 +246,13 @@ impl Wal {
 
     /// Counter snapshot.
     pub fn stats(&self) -> WalStats {
-        WalStats {
-            appends: self.appends.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            commit_records: self.commit_records.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            fsyncs_saved: self.fsyncs_saved.load(Ordering::Relaxed),
-        }
+        *self.stats.lock()
+    }
+
+    /// Count into the log's totals and the running statement's block.
+    fn note(&self, f: impl Fn(&mut WalStats)) {
+        f(&mut self.stats.lock());
+        crate::metrics::count(|s| f(&mut s.wal));
     }
 
     /// Log a full image of `page` (about to be identified as `file_id`
@@ -281,8 +267,10 @@ impl Wal {
         page.stamp_checksum();
         append_record(&mut inner.buf, REC_PAGE_IMAGE, lsn, file_id, pid, page.bytes());
         inner.len += record_size(PAGE_SIZE) as u64;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(record_size(PAGE_SIZE) as u64, Ordering::Relaxed);
+        self.note(|s| {
+            s.appends += 1;
+            s.bytes += record_size(PAGE_SIZE) as u64;
+        });
         lsn
     }
 
@@ -296,8 +284,10 @@ impl Wal {
         let payload = txid.to_le_bytes();
         append_record(&mut inner.buf, REC_TXN_COMMIT, lsn, 0, 0, &payload);
         inner.len += record_size(payload.len()) as u64;
-        self.commit_records.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(record_size(payload.len()) as u64, Ordering::Relaxed);
+        self.note(|s| {
+            s.commit_records += 1;
+            s.bytes += record_size(payload.len()) as u64;
+        });
         lsn
     }
 
@@ -310,13 +300,13 @@ impl Wal {
     pub fn sync_group(&self, lsn: u64) -> Result<()> {
         loop {
             if self.durable_lsn.load(Ordering::SeqCst) >= lsn {
-                self.fsyncs_saved.fetch_add(1, Ordering::Relaxed);
+                self.note(|s| s.fsyncs_saved += 1);
                 return Ok(());
             }
             let mut flushing = self.group.lock().expect("group commit lock");
             if self.durable_lsn.load(Ordering::SeqCst) >= lsn {
                 drop(flushing);
-                self.fsyncs_saved.fetch_add(1, Ordering::Relaxed);
+                self.note(|s| s.fsyncs_saved += 1);
                 return Ok(());
             }
             if !*flushing {
@@ -327,7 +317,7 @@ impl Wal {
                 *flushing = false;
                 self.group_cv.notify_all();
                 drop(flushing);
-                self.group_commits.fetch_add(1, Ordering::Relaxed);
+                self.note(|s| s.group_commits += 1);
                 return r;
             }
             // A leader is flushing: wait for its result, then re-check.
@@ -346,7 +336,7 @@ impl Wal {
             inner.buf.clear();
         }
         faulted_sync(&inner.file, self.fault.as_deref()).map_err(DbError::from)?;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.note(|s| s.fsyncs += 1);
         inner.durable_len = inner.len;
         self.durable_lsn.store(self.next_lsn.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
         Ok(())
@@ -408,7 +398,7 @@ impl Wal {
         for &txid in commits {
             let clsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
             append_record(&mut rec, REC_TXN_COMMIT, clsn, 0, 0, &txid.to_le_bytes());
-            self.commit_records.fetch_add(1, Ordering::Relaxed);
+            self.note(|s| s.commit_records += 1);
         }
         inner.file.set_len(0)?;
         faulted_write_at(&inner.file, self.fault.as_deref(), IoKind::Wal, &rec, 0)
@@ -416,8 +406,10 @@ impl Wal {
         faulted_sync(&inner.file, self.fault.as_deref()).map_err(DbError::from)?;
         inner.len = rec.len() as u64;
         inner.durable_len = inner.len;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.note(|s| {
+            s.fsyncs += 1;
+            s.checkpoints += 1;
+        });
         self.durable_lsn.store(self.next_lsn.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
         Ok(())
     }

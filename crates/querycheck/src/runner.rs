@@ -196,9 +196,7 @@ impl Harness {
         let mut mismatches = Vec::new();
         for (cfg, db, _) in &self.dbs {
             for forcing in forcing_modes() {
-                db.set_forcing(forcing);
-                let mut got = db.query(&sql).map(|r| r.rows);
-                db.set_forcing(PlanForcing::default());
+                let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
                 if let (Ok(rows), Some(m)) = (&mut got, mutation) {
                     m.apply(rows);
                 }
@@ -228,9 +226,7 @@ impl Harness {
         let sql = render_select(q);
         let expected = self.oracle(q);
         let (_, db, _) = self.dbs.iter().find(|(c, _, _)| *c == cfg)?;
-        db.set_forcing(forcing);
-        let mut got = db.query(&sql).map(|r| r.rows);
-        db.set_forcing(PlanForcing::default());
+        let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
         if let (Ok(rows), Some(m)) = (&mut got, mutation) {
             m.apply(rows);
         }

@@ -26,7 +26,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ordb::{Database, DbError, ForcedAccess, PlanForcing, TempDir, TxnId, Value};
+use ordb::{
+    Database, DbError, ForcedAccess, Output, PlanForcing, QueryResult, Session, TempDir, Value,
+};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Who currently holds the delete claim (`xmax`) on a committed row.
@@ -51,7 +53,8 @@ struct OracleRow {
 
 /// One writer's open transaction, mirrored oracle-side.
 struct OpenTxn {
-    txn: TxnId,
+    /// The writer's session, holding its open transaction.
+    session: Session,
     /// Committed-live ids visible at `BEGIN` (the snapshot).
     snapshot: BTreeSet<i64>,
     /// Own uncommitted inserts, in insertion order.
@@ -103,15 +106,15 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
             let ctx = |op: &str| format!("seed={seed} step={step} writer={w} op={op}");
 
             if open[w].is_none() {
-                let mut slot = None;
-                db.execute_txn("BEGIN", &mut slot).map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
+                let mut session = Session::new();
+                db.run("BEGIN", &mut session).map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
                 let snapshot = rows
                     .iter()
                     .filter(|(_, r)| r.claim != Claim::Committed)
                     .map(|(id, _)| *id)
                     .collect();
                 open[w] = Some(OpenTxn {
-                    txn: slot.expect("BEGIN must fill the slot"),
+                    session,
                     snapshot,
                     inserts: Vec::new(),
                     deleted_own: BTreeSet::new(),
@@ -125,9 +128,10 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         let (id, val) = (next_id, rng.gen_range(0..1_000));
                         next_id += 1;
                         let sql = format!("INSERT INTO acct VALUES ({id}, {val})");
-                        let mut slot = Some(open[w].as_ref().unwrap().txn);
+                        let session = &mut open[w].as_mut().unwrap().session;
                         let n = db
-                            .execute_txn(&sql, &mut slot)
+                            .run(&sql, session)
+                            .and_then(Output::into_affected)
                             .map_err(|e| format!("{}: {e}", ctx(&sql)))?;
                         if n != 1 {
                             return Err(format!("{}: affected {n}, want 1", ctx(&sql)));
@@ -161,13 +165,13 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                                 matches!(r.claim, Claim::Committed)
                                     || matches!(r.claim, Claim::Active(o) if o != w)
                             });
-                        let mut slot = Some(t.txn);
-                        let got = db.execute_txn(&sql, &mut slot);
+                        let mut session = t.session.clone();
+                        let got = db.run(&sql, &mut session).and_then(Output::into_affected);
                         match (expect_conflict, got) {
                             (true, Err(DbError::TxnConflict(_))) => {
                                 // Whole-txn abort: the engine already rolled
                                 // back and cleared the slot; mirror it.
-                                if slot.is_some() {
+                                if session.txn().is_some() {
                                     return Err(format!(
                                         "{}: conflict left the txn slot open",
                                         ctx(&sql)
@@ -203,9 +207,8 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         }
                     }
                     8 => {
-                        let t = open[w].take().unwrap();
-                        let mut slot = Some(t.txn);
-                        db.execute_txn("COMMIT", &mut slot)
+                        let mut t = open[w].take().unwrap();
+                        db.run("COMMIT", &mut t.session)
                             .map_err(|e| format!("{}: {e}", ctx("COMMIT")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::Committed;
@@ -218,9 +221,8 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         report.commits += 1;
                     }
                     _ => {
-                        let t = open[w].take().unwrap();
-                        let mut slot = Some(t.txn);
-                        db.execute_txn("ROLLBACK", &mut slot)
+                        let mut t = open[w].take().unwrap();
+                        db.run("ROLLBACK", &mut t.session)
                             .map_err(|e| format!("{}: {e}", ctx("ROLLBACK")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::None;
@@ -236,8 +238,8 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
     })();
 
     // Leave nothing open, then scrub the scratch directory.
-    for t in open.iter_mut().filter_map(Option::take) {
-        let _ = db.rollback_txn(t.txn);
+    for mut t in open.iter_mut().filter_map(Option::take) {
+        let _ = db.run("ROLLBACK", &mut t.session);
     }
     let _ = db.close();
     result.map(|()| report)
@@ -260,7 +262,7 @@ fn check_states(
         .collect();
     for access in [ForcedAccess::SeqScan, ForcedAccess::IndexScan] {
         let forcing = PlanForcing { access: Some(access), ..PlanForcing::default() };
-        let got = read_pairs(db, Some(forcing), None)
+        let got = pairs(db.query_with_forcing(READ_SQL, Some(forcing)))
             .map_err(|e| format!("seed={seed} step={step} committed read ({access:?}): {e}"))?;
         report.reads_checked += 1;
         if got != committed {
@@ -282,7 +284,7 @@ fn check_states(
             .chain(t.inserts.iter().filter(|(id, _)| !t.deleted_own.contains(id)).copied())
             .collect();
         want.sort_unstable();
-        let got = read_pairs(db, None, Some(t.txn))
+        let got = pairs(db.run(READ_SQL, &mut t.session.clone()).and_then(Output::into_rows))
             .map_err(|e| format!("seed={seed} step={step} writer={w} snapshot read: {e}"))?;
         report.reads_checked += 1;
         if got != want {
@@ -295,14 +297,12 @@ fn check_states(
     Ok(())
 }
 
-/// `SELECT id, val FROM acct` as sorted `(id, val)` pairs.
-fn read_pairs(
-    db: &Database,
-    forcing: Option<PlanForcing>,
-    txn: Option<TxnId>,
-) -> Result<Vec<(i64, i64)>, String> {
-    let result =
-        db.query_in("SELECT id, val FROM acct", forcing, txn).map_err(|e| e.to_string())?;
+/// The read every state check runs.
+const READ_SQL: &str = "SELECT id, val FROM acct";
+
+/// The result of [`READ_SQL`] as sorted `(id, val)` pairs.
+fn pairs(result: ordb::Result<QueryResult>) -> Result<Vec<(i64, i64)>, String> {
+    let result = result.map_err(|e| e.to_string())?;
     let mut pairs = Vec::with_capacity(result.rows.len());
     for row in &result.rows {
         match (&row[0], &row[1]) {
