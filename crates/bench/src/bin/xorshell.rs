@@ -170,7 +170,8 @@ impl Shell {
                     println!("queries={} latency: {}", reg.queries(), reg.latency().summary());
                 }
                 "metrics" => {
-                    let pool = self.db.io_stats_total();
+                    let snap = self.db.metrics_snapshot();
+                    let pool = snap.pool;
                     println!(
                         "buffer pool: fetches={} hits={} misses={} evictions={} \
                          writebacks={} hit_ratio={:.3}",
@@ -181,7 +182,7 @@ impl Shell {
                         pool.writebacks,
                         pool.hit_ratio()
                     );
-                    let e = self.db.metrics_snapshot().engine;
+                    let e = snap.engine;
                     println!(
                         "engine: index_probes={} sort_rows={} sort_spills={} \
                          unnest_calls={} unnest_bytes={}",

@@ -56,9 +56,7 @@ pub use error::{CoreError, Result};
 pub mod prelude {
     pub use crate::advisor::{advise_and_apply, advise_base, advise_for_workload};
     pub use crate::hybrid::map_hybrid;
-    pub use crate::load::{
-        choose_format, load_corpus, load_corpus_parallel, FormatPolicy, LoadOptions, LoadReport,
-    };
+    pub use crate::load::{choose_format, load_corpus, FormatPolicy, LoadOptions, LoadReport};
     pub use crate::queries::{
         example_queries, shakespeare_queries, sigmod_queries, udf_overhead_queries,
     };

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use ordb::{Database, Row, Value};
-use xadt::{SampleReport, StorageFormat, DEFAULT_MIN_SAVINGS};
+use xadt::{sample_fragments, StorageFormat, DEFAULT_MIN_SAVINGS};
 use xmlkit::parse_document;
 
 use crate::error::{CoreError, Result};
@@ -66,21 +66,19 @@ pub fn choose_format(
         return Ok((StorageFormat::Plain, 0.0));
     }
     let mut shredder = Shredder::new(mapping, StorageFormat::Plain);
-    let mut report = SampleReport { plain_bytes: 0, compressed_bytes: 0, samples: 0 };
+    let mut fragments = Vec::new();
     for text in docs.iter().take(sample_docs) {
         let doc = parse_document(text)?;
         for (_, row) in shredder.shred_document(&doc)? {
             for v in row {
                 if let Value::Xadt(x) = v {
-                    let plain = x.to_plain();
-                    report.plain_bytes += plain.len();
-                    report.compressed_bytes +=
-                        xadt::compress(&plain).map_err(|e| CoreError::Shred(e.to_string()))?.len();
-                    report.samples += 1;
+                    fragments.push(x.to_plain().into_owned());
                 }
             }
         }
     }
+    let report = sample_fragments(fragments.iter().map(String::as_str))
+        .map_err(|e| CoreError::Shred(e.to_string()))?;
     Ok((report.recommend(DEFAULT_MIN_SAVINGS), report.savings()))
 }
 
@@ -116,150 +114,6 @@ pub fn load_corpus(
                 let rows = std::mem::take(batch);
                 tuples += db.insert_rows(&mapping.tables[table].name, rows)?;
             }
-        }
-    }
-    for (table, batch) in batches {
-        if !batch.is_empty() {
-            tuples += db.insert_rows(&mapping.tables[table].name, batch)?;
-        }
-    }
-    db.flush()?;
-    Ok(LoadReport {
-        documents: docs.len(),
-        tuples,
-        elapsed: start.elapsed(),
-        format,
-        sample_savings: savings,
-    })
-}
-
-/// Parallel variant of [`load_corpus`]: documents are parsed and shredded
-/// on `threads` worker threads, then inserted by the calling thread.
-///
-/// Correctness hinges on a property of the paper's schemas: synthetic ids
-/// only ever reference tuples of the *same document* (`parentID` points at
-/// the parent element's tuple). Each worker therefore shreds with
-/// document-local ids, and the inserter rebases every id/parentID column
-/// by the per-table totals inserted so far — the result is bit-identical
-/// to a serial load (tested below).
-pub fn load_corpus_parallel(
-    db: &Database,
-    mapping: &Mapping,
-    docs: &[String],
-    opts: LoadOptions,
-    threads: usize,
-) -> Result<LoadReport> {
-    let threads = threads.max(1);
-    let (format, savings) = match opts.policy {
-        FormatPolicy::Plain => (StorageFormat::Plain, 0.0),
-        FormatPolicy::Compressed => (StorageFormat::Compressed, 0.0),
-        FormatPolicy::Auto => choose_format(mapping, docs, opts.sample_docs)?,
-    };
-    let start = Instant::now();
-    mapping.create_schema(db)?;
-
-    // Column roles per table, for id rebasing.
-    let id_cols: Vec<Vec<usize>> = mapping
-        .tables
-        .iter()
-        .map(|t| {
-            t.columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    matches!(
-                        c.kind,
-                        crate::schema::ColumnKind::Id | crate::schema::ColumnKind::ParentId
-                    )
-                })
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .collect();
-
-    // Workers shred disjoint document indexes; results are re-ordered by
-    // document index so the load is deterministic.
-    let results: std::sync::Mutex<Vec<Option<crate::shred::ShreddedRows>>> =
-        std::sync::Mutex::new((0..docs.len()).map(|_| None).collect());
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let failure: std::sync::Mutex<Option<CoreError>> = std::sync::Mutex::new(None);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= docs.len() || failure.lock().unwrap().is_some() {
-                    return;
-                }
-                // Document-local ids: a fresh shredder per document.
-                let mut shredder = Shredder::new(mapping, format);
-                let out = parse_document(&docs[i])
-                    .map_err(CoreError::from)
-                    .and_then(|doc| shredder.shred_document(&doc));
-                match out {
-                    Ok(rows) => results.lock().unwrap()[i] = Some(rows),
-                    Err(e) => *failure.lock().unwrap() = Some(e),
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
-    }
-
-    // Insert in document order, rebasing ids per table.
-    let mut offsets = vec![0i64; mapping.tables.len()];
-    let mut tuples = 0u64;
-    let mut batches: HashMap<usize, Vec<Row>> = HashMap::new();
-    const BATCH: usize = 4096;
-    for slot in results.into_inner().unwrap() {
-        let rows = slot.expect("every document shredded");
-        // Count this document's tuples per table (for the next offsets).
-        let mut doc_counts = vec![0i64; mapping.tables.len()];
-        for (table, mut row) in rows {
-            doc_counts[table] += 1;
-            for &c in &id_cols[table] {
-                if !matches!(row[c], Value::Int(_)) {
-                    continue;
-                }
-                {
-                    // ParentId columns reference the *parent's* table; to
-                    // rebase correctly the offset must be the parent
-                    // table's (every table has its own id space).
-                    let col = &mapping.tables[table].columns[c];
-                    let offset = match &col.kind {
-                        crate::schema::ColumnKind::ParentId => {
-                            // The parent element is recorded per tuple via
-                            // parentCODE when ambiguous; for rebasing we
-                            // need the right parent table's offset.
-                            let code_col = mapping.tables[table]
-                                .col_of_kind(&crate::schema::ColumnKind::ParentCode);
-                            let parent_elem = match code_col {
-                                Some(cc) => row[cc].as_str().map(str::to_string),
-                                None => mapping.tables[table].parent_tables.first().cloned(),
-                            };
-                            parent_elem
-                                .and_then(|e| mapping.table_index(&e))
-                                .map(|ti| offsets[ti])
-                                .unwrap_or(0)
-                        }
-                        _ => offsets[table],
-                    };
-                    if let Value::Int(v) = &mut row[c] {
-                        *v += offset;
-                    }
-                }
-            }
-            let batch = batches.entry(table).or_default();
-            batch.push(row);
-            if batch.len() >= BATCH {
-                let rows = std::mem::take(batch);
-                tuples += db.insert_rows(&mapping.tables[table].name, rows)?;
-            }
-        }
-        for (ti, n) in doc_counts.iter().enumerate() {
-            offsets[ti] += n;
         }
     }
     for (table, batch) in batches {
@@ -344,42 +198,6 @@ mod tests {
         // Small fragments with one or two tags each: compression should
         // not reach the 20% threshold here.
         assert_eq!(format, StorageFormat::Plain);
-    }
-
-    #[test]
-    fn parallel_load_matches_serial_load() {
-        let dtd = simplify(&parse_dtd(PLAYS_DTD).unwrap());
-        let docs: Vec<String> = (0..12)
-            .map(|i| {
-                format!(
-                    "<PLAY><ACT><SCENE><TITLE>t{i}</TITLE>\
-                     <SPEECH><SPEAKER>S{i}</SPEAKER><LINE>line {i}</LINE></SPEECH>\
-                     </SCENE><TITLE>A{i}</TITLE></ACT></PLAY>"
-                )
-            })
-            .collect();
-        for mapping in [crate::hybrid::map_hybrid(&dtd), crate::xorator::map_xorator(&dtd)] {
-            let serial_dir = tmp(&format!("ser-{}", mapping.algorithm));
-            let par_dir = tmp(&format!("par-{}", mapping.algorithm));
-            let serial_db = Database::open(&serial_dir).unwrap();
-            let serial = load_corpus(&serial_db, &mapping, &docs, LoadOptions::default()).unwrap();
-            let par_db = Database::open(&par_dir).unwrap();
-            let parallel =
-                load_corpus_parallel(&par_db, &mapping, &docs, LoadOptions::default(), 4).unwrap();
-            assert_eq!(serial.tuples, parallel.tuples);
-            // Every table's full contents must be identical.
-            for t in &mapping.tables {
-                let sql = format!("SELECT * FROM {}", t.name);
-                let a = serial_db.query(&sql).unwrap();
-                let b = par_db.query(&sql).unwrap();
-                let norm = |r: &ordb::QueryResult| {
-                    let mut v: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-                    v.sort();
-                    v
-                };
-                assert_eq!(norm(&a), norm(&b), "table {}", t.name);
-            }
-        }
     }
 
     #[test]

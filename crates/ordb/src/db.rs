@@ -1,7 +1,6 @@
 //! The `Database` facade: open a directory, create tables and indexes,
 //! load rows, run SQL.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -10,24 +9,22 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use crate::catalog::{Catalog, ColumnDef, IndexDef, TableDef};
+use crate::catalog::{Catalog, CatalogDefs, ColumnDef, TableDef, TableEntry};
 use crate::error::{DbError, Result};
 use crate::exec::collect;
-use crate::index::btree::BTree;
-use crate::index::key::encode_key;
 use crate::metrics::{Profiler, QueryMetrics};
 use crate::plan::{plan_select_profiled, ForcedAccess, ForcedJoin, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::stats::{StatsBuilder, TableStats};
-use crate::storage::buffer::{BufferPool, PoolStats, DEFAULT_POOL_FRAMES};
+use crate::storage::buffer::{BufferPool, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
-use crate::storage::heap::{ClaimOutcome, HeapCursor, HeapFile};
+use crate::storage::heap::{ClaimOutcome, HeapCursor};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
 use crate::tuple::{encode_row, encoded_len};
-use crate::txn::{TxnId, TxnManager, TxnStats, UndoRecord};
+use crate::txn::{TxnId, TxnManager, UndoRecord};
 use crate::types::{DataType, Row, Value};
 
 /// Tuning knobs for [`Database::open_with`].
@@ -78,19 +75,15 @@ impl Default for DbOptions {
     }
 }
 
-struct DbInner {
-    catalog: Catalog,
-    heaps: HashMap<String, Arc<HeapFile>>,
-    indexes: HashMap<String, Arc<BTree>>,
-    stats: HashMap<String, TableStats>,
-}
-
 /// A database rooted at a directory of page files plus `catalog.txt`
 /// (and, with durability on, `wal.log`).
 pub struct Database {
     dir: PathBuf,
     pool: Arc<BufferPool>,
-    inner: RwLock<DbInner>,
+    /// The table registry: every table's definition, heap, indexes and
+    /// statistics. DDL takes it for writing; statements resolve their
+    /// tables under a read lock.
+    tables: RwLock<Catalog>,
     functions: crate::functions::FunctionRegistry,
     /// What the open-time redo pass did (None: no WAL existed).
     recovery: Option<RecoveryReport>,
@@ -182,10 +175,6 @@ impl fmt::Display for QueryResult {
         writeln!(f, "{} record(s) selected.", self.rows.len())
     }
 }
-
-/// One table's DML access set: definition, heap, and each index's
-/// key-column positions + tree (what `Database::table_access` returns).
-type TableAccess = (TableDef, Arc<HeapFile>, Vec<(Vec<usize>, Arc<BTree>)>);
 
 /// What one [`Database::vacuum`] pass reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -359,14 +348,14 @@ impl Database {
         std::fs::create_dir_all(&dir)?;
         let lock = lock_dir(&dir)?;
         let recovery = crate::recovery::recover(&dir)?;
-        let catalog = Catalog::load(&dir)?;
+        let defs = CatalogDefs::load(&dir)?;
         // Undo pass: with a WAL present, redo has restored the pages the
         // log covered, but versions written by transactions that never
         // logged a commit record must be stamped dead (and orphaned
         // delete claims cleared) before anything reads them. This must
         // run while the commit records are still in the log — i.e.
         // before the checkpoint-truncate below.
-        let heap_files: Vec<u32> = catalog.tables().map(|t| t.file).collect();
+        let heap_files: Vec<u32> = defs.tables.iter().map(|t| t.file).collect();
         let undo = match recovery {
             Some(_) => Some(crate::recovery::undo_uncommitted(&dir, &heap_files)?),
             None => None,
@@ -385,18 +374,7 @@ impl Database {
         } else {
             None
         };
-        let mut heaps = HashMap::new();
-        let mut indexes = HashMap::new();
-        for t in catalog.tables() {
-            pool.register_file(t.file, file_path(&dir, t.file))?;
-            heaps
-                .insert(t.name.to_ascii_lowercase(), Arc::new(HeapFile::new(pool.clone(), t.file)));
-        }
-        for i in catalog.indexes() {
-            pool.register_file(i.file, file_path(&dir, i.file))?;
-            indexes
-                .insert(i.name.to_ascii_lowercase(), Arc::new(BTree::open(pool.clone(), i.file)?));
-        }
+        let tables = Catalog::open(&dir, pool.clone(), defs)?;
         // After a dirty shutdown an index page can be durable while the
         // heap page holding its target slot was lost — the stale entry
         // would alias whatever future insert lands on that slot index.
@@ -417,18 +395,16 @@ impl Database {
         if dirty {
             // A WAL torn mid-vacuum can leave stubs whose chains were
             // already reclaimed and overflow pages nothing references:
-            // digest both before the index sweep below, so its
+            // digest both before the table's index sweep, so its
             // `get_versioned` probes see a consistent heap and drop
             // the purged stubs' index entries.
-            for heap in heaps.values() {
-                heap.scavenge_after_recovery()?;
-            }
-            for idef in catalog.indexes() {
-                let Some(heap) = heaps.get(&idef.table.to_ascii_lowercase()) else { continue };
-                let tree = indexes.get(&idef.name.to_ascii_lowercase()).expect("tree");
-                for (key, rid) in tree.scan_range(None, None, true)? {
-                    if heap.get_versioned(rid)?.is_none() {
-                        tree.delete(&key, rid)?;
+            for t in tables.entries() {
+                t.heap.scavenge_after_recovery()?;
+                for ix in &t.indexes {
+                    for (key, rid) in ix.tree.scan_range(None, None, true)? {
+                        if t.heap.get_versioned(rid)?.is_none() {
+                            ix.tree.delete(&key, rid)?;
+                        }
                     }
                 }
             }
@@ -450,7 +426,7 @@ impl Database {
         Ok(Database {
             dir,
             pool,
-            inner: RwLock::new(DbInner { catalog, heaps, indexes, stats: HashMap::new() }),
+            tables: RwLock::new(tables),
             functions: crate::functions::FunctionRegistry::with_builtins(),
             recovery,
             spill,
@@ -476,64 +452,24 @@ impl Database {
         self.registry.totals().udfs
     }
 
-    /// Create a table.
+    /// Create a table. Fails with [`DbError::Catalog`], before anything
+    /// is written, for a duplicate or unusable name: an empty table or
+    /// column name, or one holding `\` or whitespace other than a space.
     pub fn create_table(&self, name: &str, columns: Vec<ColumnDef>) -> Result<()> {
-        let mut inner = self.inner.write();
-        if inner.catalog.table(name).is_some() {
-            return Err(DbError::Catalog(format!("table {name:?} already exists")));
-        }
-        let file = inner.catalog.allocate_file_id();
-        self.pool.register_file(file, file_path(&self.dir, file))?;
-        inner.catalog.add_table(TableDef { name: name.to_string(), columns, file })?;
-        inner
-            .heaps
-            .insert(name.to_ascii_lowercase(), Arc::new(HeapFile::new(self.pool.clone(), file)));
-        inner.catalog.save(&self.dir)?;
-        Ok(())
+        self.tables.write().create_table(name, columns)
     }
 
-    /// Create an index and backfill it from existing rows.
+    /// Create an index and backfill it from existing rows. Names follow
+    /// [`Database::create_table`]'s rules, and an indexed column name may
+    /// not contain `,`.
     pub fn create_index(&self, name: &str, table: &str, columns: Vec<String>) -> Result<()> {
-        let mut inner = self.inner.write();
-        let tdef = inner
-            .catalog
-            .table(table)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-            .clone();
-        let mut key_cols = Vec::with_capacity(columns.len());
-        for c in &columns {
-            key_cols.push(
-                tdef.column_index(c)
-                    .ok_or_else(|| DbError::Catalog(format!("unknown column {c:?}")))?,
-            );
-        }
-        let file = inner.catalog.allocate_file_id();
-        self.pool.register_file(file, file_path(&self.dir, file))?;
-        let tree = Arc::new(BTree::create(self.pool.clone(), file)?);
-        inner.catalog.add_index(IndexDef {
-            name: name.to_string(),
-            table: tdef.name.clone(),
-            columns,
-            file,
-        })?;
-        // Backfill every non-dead version — including ones with an xmax
-        // claim, since a snapshot older than the deleter must still find
-        // them through this index.
-        let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let mut cursor = HeapCursor::new(heap);
-        while let Some(v) = cursor.next()? {
-            let row = crate::tuple::decode_row(&v.body, tdef.columns.len())?;
-            tree.insert(&index_key(&key_cols, &row), v.rid)?;
-        }
-        inner.indexes.insert(name.to_ascii_lowercase(), tree);
-        inner.catalog.save(&self.dir)?;
-        Ok(())
+        self.tables.write().create_index(name, table, columns)
     }
 
-    /// One table's heap, its indexes (key-column positions + trees),
-    /// and its definition — the access set every DML statement needs.
-    fn table_access(&self, table: &str) -> Result<TableAccess> {
-        access_of(&self.inner.read(), table)
+    /// Table `table`'s registry entry: a cheap handle DML works through
+    /// outside the catalog lock.
+    fn table(&self, table: &str) -> Result<Arc<TableEntry>> {
+        self.tables.read().entry(table)
     }
 
     /// Insert rows programmatically (the bulk-load path). Values are
@@ -549,7 +485,8 @@ impl Database {
     /// can remove it (and its index entries) physically.
     pub fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
         let _scope = self.registry.scope();
-        let (tdef, heap, idx_defs) = self.table_access(table)?;
+        let t = self.table(table)?;
+        let tdef = &t.def;
         let mut buf = Vec::new();
         let mut n = 0u64;
         for mut row in rows {
@@ -565,13 +502,13 @@ impl Database {
             }
             buf.clear();
             encode_row(&row, &mut buf);
-            let rid = heap.insert(&buf, txn.0)?;
+            let rid = t.heap.insert(&buf, txn.0)?;
             self.txns.record_undo(
                 txn,
                 UndoRecord::Insert { table: tdef.name.clone(), rid, row: row.clone() },
             )?;
-            for (cols, tree) in &idx_defs {
-                tree.insert(&index_key(cols, &row), rid)?;
+            for ix in &t.indexes {
+                ix.tree.insert(&ix.key(&row), rid)?;
             }
             n += 1;
         }
@@ -658,12 +595,9 @@ impl Database {
             other => return Ok((Output::Affected(self.dispatch(other, &mut session.txn)?), None)),
         };
         let analyze = entry == Entry::Analyze;
-        let inner = self.inner.read();
+        let tables = self.tables.read();
         let ctx = PlanContext {
-            catalog: &inner.catalog,
-            heaps: &inner.heaps,
-            indexes: &inner.indexes,
-            stats: &inner.stats,
+            tables: &tables,
             functions: &self.functions,
             spill: &self.spill,
             forcing: session.forcing,
@@ -750,28 +684,10 @@ impl Database {
                 self.create_index(&name, &table, columns).map(|()| 0)
             }
             Statement::Drop { index: true, name } => {
-                let mut inner = self.inner.write();
-                let def = inner.catalog.remove_index(&name)?;
-                inner.indexes.remove(&name.to_ascii_lowercase());
-                self.pool.unregister_file(def.file)?;
-                let _ = std::fs::remove_file(file_path(&self.dir, def.file));
-                inner.catalog.save(&self.dir)?;
-                Ok(0)
+                self.tables.write().drop_index(&name).map(|()| 0)
             }
             Statement::Drop { index: false, name } => {
-                let mut inner = self.inner.write();
-                let (tdef, indexes) = inner.catalog.remove_table(&name)?;
-                inner.heaps.remove(&tdef.name.to_ascii_lowercase());
-                self.pool.unregister_file(tdef.file)?;
-                let _ = std::fs::remove_file(file_path(&self.dir, tdef.file));
-                for ix in indexes {
-                    inner.indexes.remove(&ix.name.to_ascii_lowercase());
-                    self.pool.unregister_file(ix.file)?;
-                    let _ = std::fs::remove_file(file_path(&self.dir, ix.file));
-                }
-                inner.stats.remove(&tdef.name.to_ascii_lowercase());
-                inner.catalog.save(&self.dir)?;
-                Ok(0)
+                self.tables.write().drop_table(&name).map(|()| 0)
             }
             Statement::Vacuum => Ok(self.vacuum()?.vacuumed_versions),
             Statement::Select(_) | Statement::Explain(_) => {
@@ -820,11 +736,12 @@ impl Database {
     ) -> Result<u64> {
         let _scope = self.registry.scope();
         let snapshot = self.txns.snapshot_of(txn)?;
-        let (tdef, heap, _) = self.table_access(table)?;
+        let t = self.table(table)?;
+        let (tdef, heap) = (&t.def, &t.heap);
 
         // Compile the predicate against the table's own schema.
         let compiled = match predicate {
-            Some(ast) => Some(crate::plan::compile_single_table(&tdef, &ast, &self.functions)?),
+            Some(ast) => Some(crate::plan::compile_single_table(tdef, &ast, &self.functions)?),
             None => None,
         };
         let mut cursor = HeapCursor::new(heap.clone());
@@ -913,19 +830,19 @@ impl Database {
                 UndoRecord::Insert { table, rid, row } => {
                     // The table may have been dropped after the insert
                     // (DDL is not transactional); nothing left to undo.
-                    let Ok((_, heap, idx_defs)) = self.table_access(&table) else { continue };
+                    let Ok(t) = self.table(&table) else { continue };
                     // Index entries go first: `heap.delete` makes the
                     // slot immediately reusable, and a concurrent
                     // insert reviving it with an equal key must not
                     // have its fresh index entry swept up by ours.
-                    for (cols, tree) in &idx_defs {
-                        tree.delete(&index_key(cols, &row), rid)?;
+                    for ix in &t.indexes {
+                        ix.tree.delete(&ix.key(&row), rid)?;
                     }
-                    heap.delete(rid)?;
+                    t.heap.delete(rid)?;
                 }
                 UndoRecord::Delete { table, rid } => {
-                    let Ok((_, heap, _)) = self.table_access(&table) else { continue };
-                    heap.clear_xmax(rid)?;
+                    let Ok(t) = self.table(&table) else { continue };
+                    t.heap.clear_xmax(rid)?;
                 }
             }
         }
@@ -933,19 +850,13 @@ impl Database {
         Ok(())
     }
 
-    /// Lifetime transaction counters (begun / committed / aborted /
-    /// write-write conflicts).
-    pub fn txn_stats(&self) -> TxnStats {
-        self.txns.stats()
-    }
-
     /// Recompute statistics for one table (the paper's `runstats`).
     pub fn runstats(&self, table: &str) -> Result<TableStats> {
-        let (tdef, heap, _) = self.table_access(table)?;
-        let arity = tdef.columns.len();
+        let t = self.table(table)?;
+        let arity = t.def.columns.len();
         let snapshot = self.txns.read_snapshot();
         let mut builder = StatsBuilder::new(arity);
-        let mut cursor = HeapCursor::new(heap);
+        let mut cursor = HeapCursor::new(t.heap.clone());
         while let Some(v) = cursor.next()? {
             if !snapshot.visible(v.xmin, v.xmax) {
                 continue;
@@ -954,15 +865,13 @@ impl Database {
             builder.add(&row, encoded_len(&row));
         }
         let stats = builder.finish();
-        self.inner.write().stats.insert(tdef.name.to_ascii_lowercase(), stats.clone());
+        self.tables.write().set_stats(&t.def, stats.clone());
         Ok(stats)
     }
 
     /// `runstats` for every table.
     pub fn runstats_all(&self) -> Result<()> {
-        let names: Vec<String> =
-            self.inner.read().catalog.tables().map(|t| t.name.clone()).collect();
-        for n in names {
+        for n in self.table_names() {
             self.runstats(&n)?;
         }
         Ok(())
@@ -970,52 +879,42 @@ impl Database {
 
     /// Cached statistics for `table`, if `runstats` has run.
     pub fn stats_of(&self, table: &str) -> Option<TableStats> {
-        self.inner.read().stats.get(&table.to_ascii_lowercase()).cloned()
+        self.tables.read().get(table)?.stats.clone()
     }
 
     /// Number of user tables.
     pub fn table_count(&self) -> usize {
-        self.inner.read().catalog.table_count()
+        self.tables.read().len()
     }
 
     /// Table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> =
-            self.inner.read().catalog.tables().map(|t| t.name.clone()).collect();
+        let mut v: Vec<String> = self.tables.read().entries().map(|t| t.def.name.clone()).collect();
         v.sort();
         v
     }
 
     /// Table definition by name.
     pub fn table_def(&self, name: &str) -> Option<TableDef> {
-        self.inner.read().catalog.table(name).cloned()
+        self.tables.read().get(name).map(|t| t.def.clone())
     }
 
     /// Total bytes across table heap files.
     pub fn data_size_bytes(&self) -> Result<u64> {
-        let inner = self.inner.read();
-        let mut total = 0;
-        for t in inner.catalog.tables() {
-            total += self.pool.file_size(t.file)?;
-        }
-        Ok(total)
+        self.tables.read().entries().map(|t| self.pool.file_size(t.def.file)).sum()
     }
 
     /// Total bytes across index files.
     pub fn index_size_bytes(&self) -> Result<u64> {
-        let inner = self.inner.read();
-        let mut total = 0;
-        for i in inner.catalog.indexes() {
-            total += self.pool.file_size(i.file)?;
-        }
-        Ok(total)
+        let tables = self.tables.read();
+        tables.entries().flat_map(|t| &t.indexes).map(|i| self.pool.file_size(i.def.file)).sum()
     }
 
     /// Row count of one table: scans, counting versions visible to a
     /// fresh snapshot (so uncommitted inserts and committed deletes are
     /// excluded).
     pub fn row_count(&self, table: &str) -> Result<u64> {
-        let (_, heap, _) = self.table_access(table)?;
+        let heap = self.table(table)?.heap.clone();
         let snapshot = self.txns.read_snapshot();
         let mut n = 0u64;
         heap.scan(|v| {
@@ -1071,10 +970,9 @@ impl Database {
         self.reclaim_hint.store(0, Ordering::Relaxed);
         let watermark = self.txns.vacuum_watermark();
         let mut vacuumed = 0u64;
-        let inner = self.inner.read();
-        let tables: Vec<String> = inner.catalog.tables().map(|t| t.name.clone()).collect();
-        for name in &tables {
-            let (tdef, heap, idx_defs) = access_of(&inner, name)?;
+        let tables = self.tables.read();
+        for t in tables.entries() {
+            let heap = &t.heap;
             // Committed-dead versions below the watermark. A nonzero
             // `xmax` below the watermark is necessarily committed: an
             // active claimant's own id bounds the watermark from above,
@@ -1085,13 +983,13 @@ impl Database {
             let mut victims: Vec<(crate::storage::heap::Rid, Row)> = Vec::new();
             heap.scan(|v| {
                 if v.xmax != crate::txn::TXID_INVALID && v.xmax < watermark {
-                    victims.push((v.rid, crate::tuple::decode_row(&v.body, tdef.columns.len())?));
+                    victims.push((v.rid, crate::tuple::decode_row(&v.body, t.def.columns.len())?));
                 }
                 Ok(true)
             })?;
             for (rid, row) in victims {
-                for (cols, tree) in &idx_defs {
-                    tree.delete(&index_key(cols, &row), rid)?;
+                for ix in &t.indexes {
+                    ix.tree.delete(&ix.key(&row), rid)?;
                 }
                 if heap.delete(rid)? {
                     vacuumed += 1;
@@ -1105,7 +1003,7 @@ impl Database {
                 }
             }
         }
-        drop(inner);
+        drop(tables);
         crate::metrics::count(|s| s.engine.vacuumed_versions += vacuumed);
         // Durability point: log every page the pass touched and fsync,
         // so a crash from here on replays the whole reclamation.
@@ -1218,29 +1116,12 @@ impl Database {
 
     /// Flush and empty the buffer pool — makes the next query run cold,
     /// as in the paper's methodology (§4.2). The flush's writebacks are
-    /// *excluded* from the I/O stats (they belong to the workload that
-    /// dirtied the pages, not to the cold query measured next), so a
-    /// `drop_cache` → query → `take_io_stats` sequence charges the query
-    /// only its own I/O.
+    /// *excluded* from the pool counters (they belong to the workload
+    /// that dirtied the pages, not to the cold query measured next), so
+    /// a `metrics_snapshot` → `drop_cache` → query → `metrics_snapshot`
+    /// window charges the query only its own I/O.
     pub fn drop_cache(&self) -> Result<()> {
         self.pool.drop_cache()
-    }
-
-    /// Buffer pool I/O counters accumulated since the previous
-    /// `take_io_stats` call — **snapshot-and-reset** semantics: each call
-    /// closes a measurement window and opens the next. Use
-    /// [`Database::io_stats_total`] for cumulative counters, and see
-    /// [`Database::drop_cache`] for how cache teardown interacts with
-    /// these windows. `explain_analyze` counts its own fetches, so it
-    /// never disturbs a window.
-    pub fn take_io_stats(&self) -> PoolStats {
-        self.pool.take_stats()
-    }
-
-    /// Cumulative buffer pool I/O counters since open. Never resets and
-    /// does not affect [`Database::take_io_stats`] windows.
-    pub fn io_stats_total(&self) -> PoolStats {
-        self.pool.stats_total()
     }
 
     /// Enable or disable the storage-latency simulation (see
@@ -1265,36 +1146,6 @@ impl Drop for Database {
             let _ = self.close_inner();
         }
     }
-}
-
-/// [`Database::table_access`] under an already-held catalog lock.
-fn access_of(inner: &DbInner, table: &str) -> Result<TableAccess> {
-    let tdef = inner
-        .catalog
-        .table(table)
-        .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-        .clone();
-    let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-    let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
-        .catalog
-        .indexes_of(&tdef.name)
-        .into_iter()
-        .map(|d| {
-            let cols = d
-                .columns
-                .iter()
-                .map(|c| tdef.column_index(c).expect("index column exists"))
-                .collect::<Vec<_>>();
-            let tree = inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone();
-            (cols, tree)
-        })
-        .collect();
-    Ok((tdef, heap, idx_defs))
-}
-
-/// The B+Tree key of `row` in an index over columns `cols`.
-fn index_key(cols: &[usize], row: &[Value]) -> Vec<u8> {
-    encode_key(&cols.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
 }
 
 /// Take the exclusive lock on `dir/LOCK` that marks the directory as
@@ -1337,10 +1188,6 @@ fn literal_rows(rows: Vec<Vec<AstExpr>>) -> Result<Vec<Row>> {
     Ok(values)
 }
 
-fn file_path(dir: &Path, file: u32) -> PathBuf {
-    dir.join(format!("f{file:05}.dat"))
-}
-
 /// Check/coerce a value against a column definition.
 fn coerce(v: &mut Value, c: &ColumnDef) -> Result<()> {
     match (&v, c.ty) {
@@ -1361,7 +1208,9 @@ fn coerce(v: &mut Value, c: &ColumnDef) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::file_path;
     use crate::tempdir::TempDir;
+    use std::collections::HashMap;
 
     /// A database in a fresh directory; keep the [`TempDir`] alive while
     /// the database is in use.
@@ -1654,10 +1503,10 @@ mod tests {
         db.insert_rows("t", (0..2000).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        db.take_io_stats();
+        let before = db.metrics_snapshot();
         let r = db.query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2000)));
-        let io = db.take_io_stats();
+        let io = db.metrics_snapshot().since(&before).pool;
         assert!(io.misses > 0, "cold run must read from disk: {io:?}");
     }
 
@@ -1927,17 +1776,18 @@ mod tests {
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..500).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         // Dirty frames exist now; open a fresh window, then drop the cache.
-        db.take_io_stats();
+        let before = db.metrics_snapshot();
         db.drop_cache().unwrap();
-        let window = db.take_io_stats();
+        let window = db.metrics_snapshot().since(&before).pool;
         assert_eq!(
             window.writebacks, 0,
             "cache-teardown flushes must not land in the measurement window: {window:?}"
         );
         // An explicit flush IS charged.
+        let before = db.metrics_snapshot();
         db.insert_rows("t", vec![vec![Value::Int(9999)]]).unwrap();
         db.flush().unwrap();
-        assert!(db.take_io_stats().writebacks > 0);
+        assert!(db.metrics_snapshot().since(&before).pool.writebacks > 0);
     }
 
     #[test]
@@ -1959,7 +1809,7 @@ mod tests {
         db.execute("CREATE INDEX idx_parent ON speech (speech_parentID)").unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        db.take_io_stats();
+        let before = db.metrics_snapshot();
         for sql in [
             "EXPLAIN SELECT speechID FROM speech WHERE speech_parentID = 1",
             "EXPLAIN SELECT s.speechID, a.act_title FROM speech s, act a \
@@ -1970,7 +1820,7 @@ mod tests {
             let plan = db.query(sql).unwrap();
             assert!(!plan.rows.is_empty(), "plan rows for {sql}");
         }
-        let window = db.take_io_stats();
+        let window = db.metrics_snapshot().since(&before).pool;
         assert_eq!(window.fetches(), 0, "EXPLAIN must touch zero pages: {window:?}");
     }
 
@@ -1983,7 +1833,7 @@ mod tests {
         setup_speech(&db);
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        db.take_io_stats();
+        let before = db.metrics_snapshot();
         for sql in [
             "SELECT speechID FROM speech WHERE speech_parentID = 1",
             "SELECT s.speechID, a.act_title FROM speech s, act a \
@@ -1995,8 +1845,113 @@ mod tests {
                 "no index, so a seq scan: {plan:?}"
             );
         }
-        let window = db.take_io_stats();
+        let window = db.metrics_snapshot().since(&before).pool;
         assert_eq!(window.fetches(), 0, "EXPLAIN must touch zero pages: {window:?}");
+    }
+
+    /// `catalog.txt` for [`catalog_bytes_are_fixed_across_ddl`]'s DDL
+    /// sequence: tables sorted by name, then every index sorted by name.
+    const CATALOG_TXT: &str = "next_file 10
+table Speech 1 3
+  col speechID INTEGER
+  col speech\\x20text XADT
+  col speech_parentCODE VARCHAR
+table act 3 2
+  col actID INTEGER
+  col act_title VARCHAR
+table my\\x20Table 2 1
+  col A INTEGER
+index Speech_Parent Speech 4 speech_parentCODE,speechID
+index act_pk act 5 actID
+index my_idx my\\x20Table 9 a
+";
+
+    #[test]
+    fn catalog_bytes_are_fixed_across_ddl() {
+        let dir = TempDir::new("ordb-db-catbytes").unwrap();
+        {
+            let db = Database::open(&dir).unwrap();
+            let cols = |spec: &[(&str, DataType)]| {
+                spec.iter().map(|(n, t)| ColumnDef::new(*n, *t)).collect::<Vec<_>>()
+            };
+            db.create_table(
+                "Speech",
+                cols(&[
+                    ("speechID", DataType::Integer),
+                    ("speech text", DataType::Xadt),
+                    ("speech_parentCODE", DataType::Varchar),
+                ]),
+            )
+            .unwrap();
+            db.create_table("my Table", cols(&[("A", DataType::Integer)])).unwrap();
+            db.execute("CREATE TABLE act (actID INTEGER, act_title VARCHAR)").unwrap();
+            db.create_index(
+                "Speech_Parent",
+                "speech",
+                vec!["speech_parentCODE".into(), "speechID".into()],
+            )
+            .unwrap();
+            db.execute("CREATE INDEX act_pk ON ACT (actID)").unwrap();
+            db.execute("CREATE INDEX tmp_idx ON act (act_title)").unwrap();
+            db.execute("DROP INDEX TMP_IDX").unwrap();
+            db.execute("CREATE TABLE gone (x INTEGER)").unwrap();
+            db.execute("CREATE INDEX gone_x ON gone (x)").unwrap();
+            db.execute("DROP TABLE Gone").unwrap();
+            db.create_index("my_idx", "MY TABLE", vec!["a".into()]).unwrap();
+            db.insert_rows("act", (0..50).map(|i| vec![Value::Int(i), Value::str("t")]).collect())
+                .unwrap();
+            db.close().unwrap();
+        }
+        let path = dir.join("catalog.txt");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), CATALOG_TXT);
+        // Reopen from the fixed text itself.
+        std::fs::write(&path, CATALOG_TXT).unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.table_names(), ["Speech", "act", "my Table"]);
+        assert_eq!(db.table_def("SPEECH").unwrap().columns[1].name, "speech text");
+        let plan = db.explain("SELECT act_title FROM act WHERE actID = 7").unwrap().join("\n");
+        assert!(plan.contains("IndexScan"), "{plan}");
+        let r = db.query("SELECT act_title FROM act WHERE actID = 7").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::str("t")]]);
+        assert!(db.query("SELECT x FROM gone").is_err());
+        db.create_table("gone", vec![ColumnDef::new("x", DataType::Integer)]).unwrap();
+        assert_eq!(db.table_def("gone").unwrap().file, 10, "file ids are never reused");
+    }
+
+    #[test]
+    fn names_catalog_txt_cannot_round_trip_are_rejected() {
+        let dir = TempDir::new("ordb-db-badnames").unwrap();
+        let bad_names = ["", "t\tab", "new\nline", "back\\slash", "nb\u{a0}sp"];
+        {
+            let db = Database::open(&dir).unwrap();
+            db.execute("CREATE TABLE t (a INTEGER, \"x,y\" INTEGER)").unwrap();
+            let rejected = |r: Result<()>| matches!(r, Err(DbError::Catalog(_)));
+            let int = |name: &str| vec![ColumnDef::new(name, DataType::Integer)];
+            for bad in bad_names {
+                assert!(rejected(db.create_table(bad, int("a"))), "table {bad:?}");
+                assert!(rejected(db.create_table("u", int(bad))), "column {bad:?}");
+                assert!(rejected(db.create_index(bad, "t", vec!["a".into()])), "index {bad:?}");
+                assert!(rejected(db.create_index("i", "t", vec![bad.into()])), "column {bad:?}");
+            }
+            // A comma splits the index line's column list.
+            assert!(rejected(db.create_index("i", "t", vec!["x,y".into()])));
+            // SQL DDL goes through the same checks.
+            for sql in [
+                "CREATE TABLE \"\" (a INTEGER)",
+                "CREATE TABLE \"t\tab\" (a INTEGER)",
+                "CREATE TABLE u (\"a\\b\" INTEGER)",
+                "CREATE INDEX \"\" ON t (a)",
+            ] {
+                assert!(matches!(db.execute(sql), Err(DbError::Catalog(_))), "{sql}");
+            }
+            db.execute("CREATE INDEX t_a ON t (a)").unwrap();
+            db.execute("INSERT INTO t VALUES (1, 2)").unwrap();
+            db.close().unwrap();
+        }
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.table_names(), ["t"]);
+        assert_eq!(db.query("SELECT a FROM t WHERE a = 1").unwrap().len(), 1);
+        assert!(db.explain("SELECT a FROM t WHERE a = 1").unwrap().join("").contains("IndexScan"));
     }
 
     #[test]

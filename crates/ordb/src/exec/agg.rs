@@ -1,7 +1,7 @@
 //! Grouping, aggregation, and duplicate elimination.
 //!
 //! Both blocking operators here ([`HashAggregate`], [`Distinct`]) honour
-//! an optional [`SpillConfig`] memory budget with a partition-and-retry
+//! their [`SpillConfig`] memory budget with a partition-and-retry
 //! scheme: when the in-memory working set overflows, input not yet
 //! absorbed is hash-partitioned into spill files and each partition is
 //! re-processed recursively (depth-seeded hash, capped at
@@ -144,7 +144,7 @@ pub struct HashAggregate {
     child: Option<BoxOp>,
     group_exprs: Arc<Vec<Expr>>,
     aggs: Arc<Vec<AggCall>>,
-    spill: Option<SpillConfig>,
+    spill: SpillConfig,
     depth: usize,
     output: std::vec::IntoIter<Row>,
     grace: Option<AggGrace>,
@@ -159,36 +159,21 @@ struct AggGrace {
 }
 
 impl HashAggregate {
-    /// Group `child` by `group_exprs` and compute `aggs` per group,
-    /// fully in memory.
-    pub fn new(child: BoxOp, group_exprs: Vec<Expr>, aggs: Vec<AggCall>) -> HashAggregate {
-        Self::build_agg(child, Arc::new(group_exprs), Arc::new(aggs), None, 0)
-    }
-
-    /// Like [`HashAggregate::new`] but honouring `spill`'s memory budget
-    /// via partition-and-retry.
-    pub fn with_spill(
+    /// Group `child` by `group_exprs` and compute `aggs` per group under
+    /// `spill`'s memory budget (fully in memory when the budget is
+    /// `None`).
+    pub fn new(
         child: BoxOp,
         group_exprs: Vec<Expr>,
         aggs: Vec<AggCall>,
         spill: SpillConfig,
     ) -> HashAggregate {
-        Self::build_agg(child, Arc::new(group_exprs), Arc::new(aggs), Some(spill), 0)
-    }
-
-    fn build_agg(
-        child: BoxOp,
-        group_exprs: Arc<Vec<Expr>>,
-        aggs: Arc<Vec<AggCall>>,
-        spill: Option<SpillConfig>,
-        depth: usize,
-    ) -> HashAggregate {
         HashAggregate {
             child: Some(child),
-            group_exprs,
-            aggs,
+            group_exprs: Arc::new(group_exprs),
+            aggs: Arc::new(aggs),
             spill,
-            depth,
+            depth: 0,
             output: Vec::new().into_iter(),
             grace: None,
             built: false,
@@ -206,7 +191,7 @@ impl HashAggregate {
         let mut writers: Option<Vec<SpillWriter>> = None;
         // Partitioning a single global group is pointless (its state is
         // O(1) anyway and one key can never be split by hash).
-        let may_spill = self.spill.as_ref().is_some_and(|s| s.budget.is_some())
+        let may_spill = self.spill.budget.is_some()
             && self.depth < MAX_SPILL_DEPTH
             && !self.group_exprs.is_empty();
         while let Some(row) = child.next()? {
@@ -236,11 +221,10 @@ impl HashAggregate {
                 };
                 bytes += state.update(v)?;
             }
-            if may_spill && writers.is_none() && self.spill.as_ref().expect("checked").over(bytes) {
-                let spill = self.spill.as_ref().expect("checked");
+            if may_spill && writers.is_none() && self.spill.over(bytes) {
                 crate::metrics::count(|s| s.engine.agg_spills += 1);
-                writers =
-                    Some((0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?);
+                let manager = &self.spill.manager;
+                writers = Some((0..SPILL_FANOUT).map(|_| manager.create()).collect::<Result<_>>()?);
             }
         }
         if let Some(ws) = writers {
@@ -286,13 +270,18 @@ impl HashAggregate {
             let Some(file) = g.parts.next() else {
                 return Ok(None);
             };
-            g.current = Some(Box::new(HashAggregate::build_agg(
+            let sub = HashAggregate::new(
                 Box::new(SpillScan::new(file)),
-                group_exprs.clone(),
-                aggs.clone(),
+                Vec::new(),
+                Vec::new(),
                 spill.clone(),
-                depth + 1,
-            )));
+            );
+            g.current = Some(Box::new(HashAggregate {
+                group_exprs: group_exprs.clone(),
+                aggs: aggs.clone(),
+                depth: depth + 1,
+                ..sub
+            }));
         }
     }
 }
@@ -328,7 +317,7 @@ pub struct Distinct {
     child: BoxOp,
     seen: HashSet<Row>,
     bytes: usize,
-    spill: Option<SpillConfig>,
+    spill: SpillConfig,
     depth: usize,
     /// Rows from `child` carry a leading emitted-marker column (true for
     /// the recursive partition passes).
@@ -342,32 +331,27 @@ struct DistinctGrace {
 }
 
 impl Distinct {
-    /// Deduplicate `child`, fully in memory.
-    pub fn new(child: BoxOp) -> Distinct {
-        Self::build_distinct(child, None, 0, false)
-    }
-
-    /// Like [`Distinct::new`] but honouring `spill`'s memory budget.
-    pub fn with_spill(child: BoxOp, spill: SpillConfig) -> Distinct {
-        Self::build_distinct(child, Some(spill), 0, false)
-    }
-
-    fn build_distinct(
-        child: BoxOp,
-        spill: Option<SpillConfig>,
-        depth: usize,
-        flagged: bool,
-    ) -> Distinct {
-        Distinct { child, seen: HashSet::new(), bytes: 0, spill, depth, flagged, grace: None }
+    /// Deduplicate `child` under `spill`'s memory budget (fully in memory,
+    /// and order-preserving, when the budget is `None`).
+    pub fn new(child: BoxOp, spill: SpillConfig) -> Distinct {
+        Distinct {
+            child,
+            seen: HashSet::new(),
+            bytes: 0,
+            spill,
+            depth: 0,
+            flagged: false,
+            grace: None,
+        }
     }
 
     /// Spill the seen-set (marked emitted) and the rest of the input
     /// (original markers) into hash partitions, then arm `grace`.
     fn overflow(&mut self) -> Result<()> {
-        let spill = self.spill.clone().expect("overflow requires a spill config");
         crate::metrics::count(|s| s.engine.agg_spills += 1);
+        let manager = &self.spill.manager;
         let mut writers: Vec<SpillWriter> =
-            (0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?;
+            (0..SPILL_FANOUT).map(|_| manager.create()).collect::<Result<_>>()?;
         let mut rec: Row = Vec::new();
         let mut write = |writers: &mut Vec<SpillWriter>, emitted: bool, row: &[Value]| {
             rec.clear();
@@ -407,12 +391,8 @@ impl Distinct {
             let Some(file) = g.parts.next() else {
                 return Ok(None);
             };
-            g.current = Some(Box::new(Distinct::build_distinct(
-                Box::new(SpillScan::new(file)),
-                spill.clone(),
-                depth + 1,
-                true,
-            )));
+            let sub = Distinct::new(Box::new(SpillScan::new(file)), spill.clone());
+            g.current = Some(Box::new(Distinct { depth: depth + 1, flagged: true, ..sub }));
         }
     }
 }
@@ -442,9 +422,7 @@ impl Operator for Distinct {
             }
             self.bytes += encoded_len(&payload) + SEEN_ENTRY_BYTES;
             self.seen.insert(payload.clone());
-            if self.depth < MAX_SPILL_DEPTH
-                && self.spill.as_ref().is_some_and(|s| s.over(self.bytes))
-            {
+            if self.depth < MAX_SPILL_DEPTH && self.spill.over(self.bytes) {
                 self.overflow()?;
                 // The row that tipped the budget is in the spilled seen-
                 // set (marked emitted), so emit it now if it was fresh.
@@ -490,6 +468,7 @@ mod tests {
                 AggCall { func: AggFunc::Count, arg: None },
                 AggCall { func: AggFunc::Count, arg: Some(Expr::col(1)) },
             ],
+            SpillConfig::unbounded(),
         );
         let mut out = collect(Box::new(op)).unwrap();
         out.sort_by(|a, b| a[0].cmp(&b[0]));
@@ -508,6 +487,7 @@ mod tests {
                 AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)) },
                 AggCall { func: AggFunc::Max, arg: Some(Expr::col(1)) },
             ],
+            SpillConfig::unbounded(),
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(2), Value::Int(8), Value::Int(1), Value::Int(3)]]);
@@ -519,6 +499,7 @@ mod tests {
             Box::new(Values::new(vec![])),
             vec![],
             vec![AggCall { func: AggFunc::Count, arg: None }],
+            SpillConfig::unbounded(),
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(0)]]);
@@ -530,13 +511,14 @@ mod tests {
             Box::new(Values::new(vec![])),
             vec![Expr::col(0)],
             vec![AggCall { func: AggFunc::Count, arg: None }],
+            SpillConfig::unbounded(),
         );
         assert!(collect(Box::new(op)).unwrap().is_empty());
     }
 
     #[test]
     fn distinct_dedups() {
-        let out = collect(Box::new(Distinct::new(rows()))).unwrap();
+        let out = collect(Box::new(Distinct::new(rows(), SpillConfig::unbounded()))).unwrap();
         assert_eq!(out.len(), 4);
     }
 
@@ -546,6 +528,7 @@ mod tests {
             Box::new(Values::new(vec![vec![Value::Int(i64::MAX)], vec![Value::Int(1)]])),
             vec![],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(0)) }],
+            SpillConfig::unbounded(),
         );
         let err = collect(Box::new(op)).unwrap_err();
         assert!(matches!(&err, DbError::Exec(m) if m == "SUM overflow"), "{err}");
@@ -557,6 +540,7 @@ mod tests {
             Box::new(Values::new(vec![vec![Value::Int(i64::MAX - 1)], vec![Value::Int(1)]])),
             vec![],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(0)) }],
+            SpillConfig::unbounded(),
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(i64::MAX)]]);
@@ -592,12 +576,13 @@ mod tests {
             Box::new(Values::new(many_rows())),
             vec![Expr::col(0)],
             aggs(),
+            SpillConfig::unbounded(),
         )))
         .unwrap();
         for budget in [128usize, 512, 2048] {
             let (_dir, cfg) = spill_config(&format!("agg-{budget}"), budget);
             let manager = cfg.manager.clone();
-            let mut spilled = collect(Box::new(HashAggregate::with_spill(
+            let mut spilled = collect(Box::new(HashAggregate::new(
                 Box::new(Values::new(many_rows())),
                 vec![Expr::col(0)],
                 aggs(),
@@ -617,14 +602,14 @@ mod tests {
         let rows: Vec<Row> = (0..500)
             .map(|i| vec![Value::Int(i % 91), Value::str(format!("v{}", i % 13))])
             .collect();
-        let mut in_mem =
-            collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone()))))).unwrap();
+        let in_mem_op =
+            Distinct::new(Box::new(Values::new(rows.clone())), SpillConfig::unbounded());
+        let mut in_mem = collect(Box::new(in_mem_op)).unwrap();
         for budget in [64usize, 256, 1024] {
             let (_dir, cfg) = spill_config(&format!("distinct-{budget}"), budget);
             let manager = cfg.manager.clone();
             let mut spilled =
-                collect(Box::new(Distinct::with_spill(Box::new(Values::new(rows.clone())), cfg)))
-                    .unwrap();
+                collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone())), cfg))).unwrap();
             assert_eq!(spilled.len(), in_mem.len(), "budget {budget}");
             in_mem.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             spilled.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));

@@ -186,7 +186,7 @@ impl Operator for IndexNestedLoopJoin {
 /// key to its arena range, and a probe match iterates that range by
 /// index — no per-probe clone of the matched row group.
 ///
-/// With a [`SpillConfig`] whose budget the build side exceeds, the
+/// When the build side exceeds the [`SpillConfig`] budget, the
 /// operator switches to a Grace hash join: both inputs are partitioned
 /// into [`SPILL_FANOUT`] spill files by a depth-seeded hash of the join
 /// key, and each (build, probe) partition pair is joined independently —
@@ -206,7 +206,7 @@ pub struct HashJoin {
     probe_keys: Arc<Vec<Expr>>,
     residual: Arc<Option<Expr>>,
     probe_is_left: bool,
-    spill: Option<SpillConfig>,
+    spill: SpillConfig,
     /// Grace recursion depth of this operator (0 = planner-built root).
     depth: usize,
     started: bool,
@@ -227,30 +227,9 @@ struct GraceState {
 
 impl HashJoin {
     /// Join `probe` against `build` (hashed by `build_keys` on first
-    /// `next()`), streaming `probe` with `probe_keys`. Fully in-memory.
+    /// `next()`), streaming `probe` with `probe_keys`, under `spill`'s
+    /// memory budget (fully in memory when the budget is `None`).
     pub fn new(
-        probe: BoxOp,
-        build: BoxOp,
-        probe_keys: Vec<Expr>,
-        build_keys: Vec<Expr>,
-        residual: Option<Expr>,
-        probe_is_left: bool,
-    ) -> HashJoin {
-        Self::build_join(
-            probe,
-            build,
-            Arc::new(probe_keys),
-            Arc::new(build_keys),
-            Arc::new(residual),
-            probe_is_left,
-            None,
-            0,
-        )
-    }
-
-    /// Like [`HashJoin::new`] but honouring `spill`'s memory budget via
-    /// Grace partitioning.
-    pub fn with_spill(
         probe: BoxOp,
         build: BoxOp,
         probe_keys: Vec<Expr>,
@@ -259,40 +238,17 @@ impl HashJoin {
         probe_is_left: bool,
         spill: SpillConfig,
     ) -> HashJoin {
-        Self::build_join(
-            probe,
-            build,
-            Arc::new(probe_keys),
-            Arc::new(build_keys),
-            Arc::new(residual),
-            probe_is_left,
-            Some(spill),
-            0,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_join(
-        probe: BoxOp,
-        build: BoxOp,
-        probe_keys: Arc<Vec<Expr>>,
-        build_keys: Arc<Vec<Expr>>,
-        residual: Arc<Option<Expr>>,
-        probe_is_left: bool,
-        spill: Option<SpillConfig>,
-        depth: usize,
-    ) -> HashJoin {
         HashJoin {
             probe: Some(probe),
             build: Some(build),
-            build_keys,
+            build_keys: Arc::new(build_keys),
             entries: Vec::new(),
             table: HashMap::new(),
-            probe_keys,
-            residual,
+            probe_keys: Arc::new(probe_keys),
+            residual: Arc::new(residual),
             probe_is_left,
             spill,
-            depth,
+            depth: 0,
             started: false,
             grace: None,
             current_probe: None,
@@ -321,13 +277,12 @@ impl HashJoin {
         let mut build = self.build.take().expect("build once");
         let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
         let mut bytes = 0usize;
-        let may_spill =
-            self.spill.as_ref().is_some_and(|s| s.budget.is_some()) && self.depth < MAX_SPILL_DEPTH;
+        let may_spill = self.spill.budget.is_some() && self.depth < MAX_SPILL_DEPTH;
         while let Some(row) = build.next()? {
             let Some(key) = Self::eval_key(&self.build_keys, &row)? else { continue };
             bytes += encoded_len(&key) + encoded_len(&row);
             keyed.push((key, row));
-            if may_spill && self.spill.as_ref().expect("checked").over(bytes) {
+            if may_spill && self.spill.over(bytes) {
                 return self.grace_partition(keyed, build);
             }
         }
@@ -348,7 +303,7 @@ impl HashJoin {
     /// Scatter the (partially collected) build side and the whole probe
     /// side into per-partition spill files.
     fn grace_partition(&mut self, keyed: Vec<(Vec<Value>, Row)>, mut build: BoxOp) -> Result<()> {
-        let spill = self.spill.clone().expect("grace requires a spill config");
+        let spill = self.spill.clone();
         crate::metrics::count(|s| s.engine.join_partitions += SPILL_FANOUT as u64);
 
         let mut build_writers = new_writers(&spill)?;
@@ -398,16 +353,22 @@ impl HashJoin {
             let Some((build_file, probe_file)) = g.parts.next() else {
                 return Ok(None);
             };
-            g.current = Some(Box::new(HashJoin::build_join(
+            let sub = HashJoin::new(
                 Box::new(SpillScan::new(probe_file)),
                 Box::new(SpillScan::new(build_file)),
-                probe_keys.clone(),
-                build_keys.clone(),
-                residual.clone(),
+                Vec::new(),
+                Vec::new(),
+                None,
                 probe_is_left,
                 spill.clone(),
-                depth + 1,
-            )));
+            );
+            g.current = Some(Box::new(HashJoin {
+                probe_keys: probe_keys.clone(),
+                build_keys: build_keys.clone(),
+                residual: residual.clone(),
+                depth: depth + 1,
+                ..sub
+            }));
         }
     }
 }
@@ -470,8 +431,8 @@ impl Operator for HashJoin {
 }
 
 /// Sort-merge join on equi-keys: each side is routed through a [`Sort`](super::sort::Sort)
-/// on its key expressions (the external merge sort when a
-/// [`SpillConfig`] budget is set), then merged streaming. Only the
+/// on its key expressions (the external merge sort when the
+/// [`SpillConfig`] has a budget), then merged streaming. Only the
 /// current right-side duplicate group is buffered, so peak memory is
 /// one sort budget per side plus the widest equal-key group.
 ///
@@ -480,7 +441,7 @@ impl Operator for HashJoin {
 pub struct MergeJoin {
     /// Unconsumed children and keys; sorted lazily on first `next()`.
     inputs: Option<MergeInputs>,
-    spill: Option<SpillConfig>,
+    spill: SpillConfig,
     state: Option<MergeState>,
 }
 
@@ -511,24 +472,8 @@ struct MergeState {
 
 impl MergeJoin {
     /// Join `left` and `right` on their key expressions (work deferred to
-    /// first `next()`). Fully in-memory sorts.
+    /// first `next()`), sorting each side under `spill`'s memory budget.
     pub fn new(
-        left: BoxOp,
-        right: BoxOp,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-        residual: Option<Expr>,
-    ) -> MergeJoin {
-        MergeJoin {
-            inputs: Some(MergeInputs { left, right, left_keys, right_keys, residual }),
-            spill: None,
-            state: None,
-        }
-    }
-
-    /// Like [`MergeJoin::new`] but sorting each side under `spill`'s
-    /// memory budget.
-    pub fn with_spill(
         left: BoxOp,
         right: BoxOp,
         left_keys: Vec<Expr>,
@@ -538,7 +483,7 @@ impl MergeJoin {
     ) -> MergeJoin {
         MergeJoin {
             inputs: Some(MergeInputs { left, right, left_keys, right_keys, residual }),
-            spill: Some(spill),
+            spill,
             state: None,
         }
     }
@@ -546,17 +491,14 @@ impl MergeJoin {
     fn start(&mut self) -> Result<()> {
         let MergeInputs { left, right, left_keys, right_keys, residual } =
             self.inputs.take().expect("start once");
-        let sorted = |op: BoxOp, keys: &[Expr], spill: &Option<SpillConfig>| -> BoxOp {
+        let sorted = |op: BoxOp, keys: &[Expr]| -> BoxOp {
             let sort_keys: Vec<crate::exec::SortKey> =
                 keys.iter().map(|e| crate::exec::SortKey { expr: e.clone(), asc: true }).collect();
-            match spill {
-                Some(cfg) => Box::new(crate::exec::Sort::with_spill(op, sort_keys, cfg.clone())),
-                None => Box::new(crate::exec::Sort::new(op, sort_keys)),
-            }
+            Box::new(crate::exec::Sort::new(op, sort_keys, self.spill.clone()))
         };
         let mut state = MergeState {
-            left: sorted(left, &left_keys, &self.spill),
-            right: sorted(right, &right_keys, &self.spill),
+            left: sorted(left, &left_keys),
+            right: sorted(right, &right_keys),
             left_keys,
             right_keys,
             residual,
@@ -714,13 +656,29 @@ mod tests {
 
     #[test]
     fn hash_join_matches_nested_loop() {
-        let j = HashJoin::new(left(), right(), vec![Expr::col(0)], vec![Expr::col(0)], None, true);
+        let j = HashJoin::new(
+            left(),
+            right(),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+            None,
+            true,
+            SpillConfig::unbounded(),
+        );
         assert_eq!(normalize(collect(Box::new(j)).unwrap()), expected_pairs());
     }
 
     #[test]
     fn merge_join_matches_nested_loop() {
-        let j = MergeJoin::new(left(), right(), vec![Expr::col(0)], vec![Expr::col(0)], None);
+        let unbounded = SpillConfig::unbounded();
+        let j = MergeJoin::new(
+            left(),
+            right(),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+            None,
+            unbounded,
+        );
         assert_eq!(normalize(collect(Box::new(j)).unwrap()), expected_pairs());
     }
 
@@ -774,6 +732,7 @@ mod tests {
             vec![Expr::col(0)],
             None,
             true,
+            SpillConfig::unbounded(),
         )))
         .unwrap();
         for budget in [256usize, 1024, 4096] {
@@ -781,7 +740,7 @@ mod tests {
             let manager = cfg.manager.clone();
             let registry = crate::metrics::MetricsRegistry::new();
             let scope = registry.scope();
-            let grace = collect(Box::new(HashJoin::with_spill(
+            let grace = collect(Box::new(HashJoin::new(
                 Box::new(Values::new(l.clone())),
                 Box::new(Values::new(r.clone())),
                 vec![Expr::col(0)],
@@ -808,11 +767,12 @@ mod tests {
             vec![Expr::col(0)],
             vec![Expr::col(0)],
             None,
+            SpillConfig::unbounded(),
         )))
         .unwrap();
         let (_dir, cfg) = spill_config("merge", 512);
         let manager = cfg.manager.clone();
-        let spilled = collect(Box::new(MergeJoin::with_spill(
+        let spilled = collect(Box::new(MergeJoin::new(
             Box::new(Values::new(l)),
             Box::new(Values::new(r)),
             vec![Expr::col(0)],
@@ -836,6 +796,7 @@ mod tests {
             vec![Expr::col(0)],
             Some(residual),
             true,
+            SpillConfig::unbounded(),
         );
         let rows = collect(Box::new(j)).unwrap();
         assert_eq!(rows.len(), 2); // b-y and b2-y

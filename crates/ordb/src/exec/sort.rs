@@ -47,7 +47,7 @@ pub(crate) fn cmp_keys(a: &[Value], b: &[Value], descending: &[bool]) -> Orderin
 /// Materialize the child, sort, then emit. NULLs order first (matching
 /// the index key encoding), for ascending *and* descending keys.
 ///
-/// With a [`SpillConfig`] whose budget is exceeded, the build switches
+/// When the [`SpillConfig`] budget is exceeded, the build switches
 /// to an external merge sort: each budget-sized chunk is sorted in
 /// memory and written as a run (key columns prepended, so the merge
 /// never re-evaluates key expressions), then all runs are merged k-way
@@ -57,31 +57,20 @@ pub(crate) fn cmp_keys(a: &[Value], b: &[Value], descending: &[bool]) -> Orderin
 pub struct Sort {
     child: Option<BoxOp>,
     keys: Vec<SortKey>,
-    spill: Option<SpillConfig>,
+    spill: SpillConfig,
     sorted: std::vec::IntoIter<Row>,
     merge: Option<KWayMerge>,
     done_build: bool,
 }
 
 impl Sort {
-    /// Sort `child` by `keys`, fully in memory (no budget).
-    pub fn new(child: BoxOp, keys: Vec<SortKey>) -> Sort {
+    /// Sort `child` by `keys` under `spill`'s memory budget (fully in
+    /// memory when the budget is `None`).
+    pub fn new(child: BoxOp, keys: Vec<SortKey>, spill: SpillConfig) -> Sort {
         Sort {
             child: Some(child),
             keys,
-            spill: None,
-            sorted: Vec::new().into_iter(),
-            merge: None,
-            done_build: false,
-        }
-    }
-
-    /// Sort `child` by `keys` under `spill`'s memory budget.
-    pub fn with_spill(child: BoxOp, keys: Vec<SortKey>, spill: SpillConfig) -> Sort {
-        Sort {
-            child: Some(child),
-            keys,
-            spill: Some(spill),
+            spill,
             sorted: Vec::new().into_iter(),
             merge: None,
             done_build: false,
@@ -103,11 +92,9 @@ impl Sort {
             }
             chunk_bytes += encoded_len(&k) + encoded_len(&row);
             chunk.push((k, row));
-            if let Some(spill) = &self.spill {
-                if spill.over(chunk_bytes) {
-                    runs.push(write_run(&mut chunk, &descending, spill)?);
-                    chunk_bytes = 0;
-                }
+            if self.spill.over(chunk_bytes) {
+                runs.push(write_run(&mut chunk, &descending, &self.spill)?);
+                chunk_bytes = 0;
             }
         }
         crate::metrics::count(|s| s.engine.sort_rows += row_count);
@@ -117,8 +104,7 @@ impl Sort {
             self.sorted = chunk.into_iter().map(|(_, r)| r).collect::<Vec<_>>().into_iter();
         } else {
             if !chunk.is_empty() {
-                let spill = self.spill.as_ref().expect("runs imply spill config");
-                runs.push(write_sorted_run(&chunk, spill)?);
+                runs.push(write_sorted_run(&chunk, &self.spill)?);
             }
             self.merge = Some(KWayMerge::open(runs, descending, self.keys.len())?);
         }
@@ -249,6 +235,7 @@ mod tests {
                 SortKey { expr: Expr::col(0), asc: true },
                 SortKey { expr: Expr::col(1), asc: false },
             ],
+            SpillConfig::unbounded(),
         );
         let out = collect(Box::new(op)).unwrap();
         let snapshot: Vec<(Option<i64>, &str)> =
@@ -270,6 +257,7 @@ mod tests {
         let op = Sort::new(
             Box::new(Values::new(rows)),
             vec![SortKey { expr: Expr::col(0), asc: false }],
+            SpillConfig::unbounded(),
         );
         let out = collect(Box::new(op)).unwrap();
         let snapshot: Vec<Option<i64>> = out.iter().map(|r| r[0].as_int()).collect();
@@ -296,12 +284,16 @@ mod tests {
                 SortKey { expr: Expr::col(1), asc: false },
             ]
         };
-        let in_mem =
-            collect(Box::new(Sort::new(Box::new(Values::new(rows.clone())), keys()))).unwrap();
+        let in_mem = collect(Box::new(Sort::new(
+            Box::new(Values::new(rows.clone())),
+            keys(),
+            SpillConfig::unbounded(),
+        )))
+        .unwrap();
         let (_dir, cfg) = spill_config("ext", 512);
         let manager = cfg.manager.clone();
         let external =
-            collect(Box::new(Sort::with_spill(Box::new(Values::new(rows)), keys(), cfg))).unwrap();
+            collect(Box::new(Sort::new(Box::new(Values::new(rows)), keys(), cfg))).unwrap();
         assert_eq!(external, in_mem);
         assert_eq!(manager.live_files(), 0, "spill files must be gone after the query");
     }
@@ -312,7 +304,7 @@ mod tests {
         // 1 records input position but is not a sort key.
         let rows: Vec<Row> = (0..200).map(|i| vec![Value::Int(i % 3), Value::Int(i)]).collect();
         let (_dir, cfg) = spill_config("stable", 256);
-        let out = collect(Box::new(Sort::with_spill(
+        let out = collect(Box::new(Sort::new(
             Box::new(Values::new(rows)),
             vec![SortKey { expr: Expr::col(0), asc: true }],
             cfg,

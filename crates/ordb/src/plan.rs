@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry, TableIndex};
 use crate::error::{DbError, Result};
 use crate::exec::{
     AggCall, AggFunc, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
@@ -33,7 +33,6 @@ use crate::index::key::encode_key;
 use crate::metrics::Profiler;
 use crate::sql::ast::{AstExpr, FromItem, Select, SelectItem};
 use crate::stats::TableStats;
-use crate::storage::heap::HeapFile;
 use crate::storage::spill::SpillConfig;
 use crate::txn::Snapshot;
 use crate::types::{DataType, Value};
@@ -103,14 +102,9 @@ impl PlanForcing {
 
 /// Everything the planner needs from the database.
 pub struct PlanContext<'a> {
-    /// Catalog of tables and indexes.
-    pub catalog: &'a Catalog,
-    /// Heap handle per lowered table name.
-    pub heaps: &'a HashMap<String, Arc<HeapFile>>,
-    /// B+Tree handle per lowered index name.
-    pub indexes: &'a HashMap<String, Arc<BTree>>,
-    /// Statistics per lowered table name (from `runstats`).
-    pub stats: &'a HashMap<String, TableStats>,
+    /// The table registry: each table's definition, heap, indexes and
+    /// `runstats` statistics.
+    pub tables: &'a Catalog,
     /// Scalar function registry.
     pub functions: &'a FunctionRegistry,
     /// Memory budget + spill manager handed to blocking operators.
@@ -170,9 +164,10 @@ impl Schema {
 }
 
 /// A base table reference in FROM.
-struct BaseRef {
+struct BaseRef<'a> {
     alias: String,
     table: String, // lowered
+    entry: &'a TableEntry,
     columns: Vec<Binding>,
     arity: usize,
 }
@@ -180,25 +175,26 @@ struct BaseRef {
 /// Plan a SELECT, wrapping every operator in an instrumentation node when
 /// `prof` is recording (analyzed and traced runs). With a disabled
 /// profiler no wrappers are built.
-pub fn plan_select_profiled(
-    ctx: &PlanContext<'_>,
+pub fn plan_select_profiled<'a>(
+    ctx: &PlanContext<'a>,
     q: &Select,
     prof: &mut Profiler,
 ) -> Result<PhysicalPlan> {
     let mut explain = Vec::new();
 
     // ---- 1. bind FROM ---------------------------------------------------
-    let mut bases: Vec<BaseRef> = Vec::new();
+    let mut bases: Vec<BaseRef<'a>> = Vec::new();
     let mut fns: Vec<(String, String, Vec<AstExpr>)> = Vec::new(); // (alias, func, args)
     for item in &q.from {
         match item {
             FromItem::Table { name, alias } => {
-                let def = ctx
-                    .catalog
-                    .table(name)
+                let entry = ctx
+                    .tables
+                    .get(name)
                     .ok_or_else(|| DbError::Plan(format!("unknown table {name:?}")))?;
                 let alias = alias.clone().unwrap_or_else(|| name.clone());
-                let columns: Vec<Binding> = def
+                let columns: Vec<Binding> = entry
+                    .def
                     .columns
                     .iter()
                     .map(|c| Binding { alias: alias.clone(), column: c.name.clone(), ty: c.ty })
@@ -206,6 +202,7 @@ pub fn plan_select_profiled(
                 bases.push(BaseRef {
                     alias,
                     table: name.to_ascii_lowercase(),
+                    entry,
                     arity: columns.len(),
                     columns,
                 });
@@ -293,7 +290,7 @@ pub fn plan_select_profiled(
     let est: Vec<f64> = bases
         .iter()
         .map(|b| {
-            let stats = ctx.stats.get(&b.table);
+            let stats = b.entry.stats.as_ref();
             let rows = stats.map_or(1000.0, |s| s.row_count as f64);
             let sel: f64 = local
                 .get(&b.alias)
@@ -382,14 +379,13 @@ pub fn plan_select_profiled(
             AstExpr::Column { name, .. } => Some(name.clone()),
             _ => None,
         };
-        let inner_index =
-            inner_col.as_ref().and_then(|col| find_index_on(ctx, &inner_base.table, col));
+        let inner_index = inner_col.as_ref().and_then(|col| find_index_on(inner_base.entry, col));
         let inner_local = local.get(&inner_base.alias);
 
         // Join sizing: matches per probe on an equi key ≈ (inner rows
         // after local predicates) / NDV(inner join column) — the foreign
         // key fanout for parentID joins.
-        let inner_stats = ctx.stats.get(&inner_base.table);
+        let inner_stats = inner_base.entry.stats.as_ref();
         let inner_rows = inner_stats.map_or(1000.0, |s| s.row_count as f64);
         let inner_pages = inner_stats
             .map(|s| (s.row_count * s.avg_row_bytes.max(16)) as f64 / 8192.0)
@@ -452,7 +448,7 @@ pub fn plan_select_profiled(
             schema.0.extend(inner_base.columns.iter().cloned());
             explain.push(format!("merge join {} (forced)", inner_base.alias));
             (root, root_id) = prof.wrap(
-                Box::new(MergeJoin::with_spill(
+                Box::new(MergeJoin::new(
                     root,
                     inner_plan,
                     vec![outer_key],
@@ -477,7 +473,7 @@ pub fn plan_select_profiled(
             (root, root_id) = prof.wrap(
                 Box::new(IndexNestedLoopJoin::new(
                     root,
-                    ctx.heap_of(&inner_base.table)?,
+                    inner_base.entry.heap.clone(),
                     index,
                     inner_base.arity,
                     vec![outer_key],
@@ -500,7 +496,7 @@ pub fn plan_select_profiled(
                     inner_base.alias, est[cand], current_rows
                 ));
                 (root, root_id) = prof.wrap(
-                    Box::new(HashJoin::with_spill(
+                    Box::new(HashJoin::new(
                         root,
                         inner_plan,
                         vec![outer_key],
@@ -520,7 +516,7 @@ pub fn plan_select_profiled(
                     inner_base.alias, current_rows, est[cand]
                 ));
                 (root, root_id) = prof.wrap(
-                    Box::new(HashJoin::with_spill(
+                    Box::new(HashJoin::new(
                         inner_plan,
                         root,
                         vec![inner_key],
@@ -630,13 +626,13 @@ pub fn plan_select_profiled(
             aggs.len()
         ));
         (root, root_id) = prof.wrap(
-            Box::new(HashAggregate::with_spill(root, group_exprs, aggs, ctx.spill.clone())),
+            Box::new(HashAggregate::new(root, group_exprs, aggs, ctx.spill.clone())),
             "HashAggregate",
             vec![root_id],
         );
         if !sort_keys.is_empty() {
             (root, root_id) = prof.wrap(
-                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
+                Box::new(Sort::new(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
@@ -666,7 +662,7 @@ pub fn plan_select_profiled(
                 sort_keys.push(SortKey { expr: compile(e, &schema, ctx.functions)?, asc: *asc });
             }
             (root, root_id) = prof.wrap(
-                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
+                Box::new(Sort::new(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
@@ -679,13 +675,11 @@ pub fn plan_select_profiled(
         // Distinct sits above the Sort, so when the query has an ORDER BY
         // it must preserve its input order — the spill path re-emits
         // partitioned keys out of order, so only an unordered DISTINCT
-        // gets the budget-bounded variant.
-        let distinct: BoxOp = if q.order_by.is_empty() {
-            Box::new(Distinct::with_spill(root, ctx.spill.clone()))
-        } else {
-            Box::new(Distinct::new(root))
-        };
-        (root, root_id) = prof.wrap(distinct, "Distinct", vec![root_id]);
+        // gets the memory budget.
+        let budget = if q.order_by.is_empty() { ctx.spill.budget } else { None };
+        let spill = SpillConfig { budget, ..ctx.spill.clone() };
+        (root, root_id) =
+            prof.wrap(Box::new(Distinct::new(root, spill)), "Distinct", vec![root_id]);
     }
     if let Some(n) = q.limit {
         (root, root_id) =
@@ -737,15 +731,6 @@ pub fn compile_expr(
     compile(ast, &schema, functions)
 }
 
-impl PlanContext<'_> {
-    fn heap_of(&self, table_lower: &str) -> Result<Arc<HeapFile>> {
-        self.heaps
-            .get(table_lower)
-            .cloned()
-            .ok_or_else(|| DbError::Plan(format!("no heap for table {table_lower:?}")))
-    }
-}
-
 fn schema_has_alias(schema: &Schema, alias: &str) -> bool {
     schema.0.iter().any(|b| b.alias.eq_ignore_ascii_case(alias))
 }
@@ -774,15 +759,10 @@ fn apply_ready_preds(
 }
 
 /// Find an index on `table` whose first key column is `col`.
-fn find_index_on(ctx: &PlanContext<'_>, table_lower: &str, col: &str) -> Option<Arc<BTree>> {
-    for idx in ctx.catalog.indexes_of(table_lower) {
-        if idx.columns.first().is_some_and(|c| c.eq_ignore_ascii_case(col)) {
-            if let Some(tree) = ctx.indexes.get(&idx.name.to_ascii_lowercase()) {
-                return Some(tree.clone());
-            }
-        }
-    }
-    None
+fn find_index_on(table: &TableEntry, col: &str) -> Option<Arc<BTree>> {
+    let first_col =
+        |i: &&TableIndex| i.def.columns.first().is_some_and(|c| c.eq_ignore_ascii_case(col));
+    table.indexes.iter().find(first_col).map(|i| i.tree.clone())
 }
 
 /// Build the access path for one base table with its local predicates.
@@ -794,7 +774,7 @@ fn build_scan(
     preds: Option<&Vec<AstExpr>>,
     prof: &mut Profiler,
 ) -> Result<(BoxOp, String, usize)> {
-    let heap = ctx.heap_of(&base.table)?;
+    let heap = base.entry.heap.clone();
     let table_schema = Schema(base.columns.clone());
     let empty = Vec::new();
     let preds = preds.unwrap_or(&empty);
@@ -816,7 +796,7 @@ fn build_scan(
             if matches!(op, CmpOp::Ne) {
                 continue;
             }
-            if let Some(tree) = find_index_on(ctx, &base.table, col) {
+            if let Some(tree) = find_index_on(base.entry, col) {
                 let value = literal_value(lit)?;
                 let is_eq = matches!(op, CmpOp::Eq);
                 // Prefer equality probes over ranges.

@@ -991,7 +991,7 @@ mod tests {
         let rids: Vec<Rid> = (0..200u32)
             .map(|i| h.insert(&vec![(i % 251) as u8; 64 + (i as usize % 300)], XMIN).unwrap())
             .collect();
-        h.pool.take_stats();
+        let before = h.pool.stats_total();
         let mut cursor = HeapCursor::new(h.clone());
         let mut seen = Vec::new();
         while let Some(v) = cursor.next().unwrap() {
@@ -999,7 +999,7 @@ mod tests {
         }
         let pages = u64::from(h.page_count().unwrap());
         assert!(pages > 1);
-        assert_eq!(h.pool.take_stats().fetches(), pages, "one fetch per page");
+        assert_eq!(h.pool.stats_total().since(&before).fetches(), pages, "one fetch per page");
         let point: Vec<Version> =
             rids.iter().map(|&rid| h.get_versioned(rid).unwrap().unwrap()).collect();
         assert_eq!(seen, point);

@@ -49,6 +49,14 @@ impl SpillConfig {
     pub fn over(&self, bytes: usize) -> bool {
         self.budget.is_some_and(|b| bytes > b)
     }
+
+    /// An unbounded config for operator tests. It never spills, so its
+    /// manager's directory is never created.
+    #[cfg(test)]
+    pub(crate) fn unbounded() -> SpillConfig {
+        let manager = Arc::new(SpillManager::new(std::env::temp_dir().join("ordb-never-spills")));
+        SpillConfig { budget: None, manager }
+    }
 }
 
 /// Partition fan-out of one spill split (Grace join, aggregation

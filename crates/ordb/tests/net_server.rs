@@ -301,7 +301,7 @@ fn write_write_conflict_round_trips_with_stable_code() {
 #[test]
 fn connection_drop_mid_txn_auto_aborts() {
     let (_dir, db, handle) = served_db("txndrop");
-    let aborted_before = db.txn_stats().aborted;
+    let aborted_before = db.metrics_snapshot().txn.aborted;
     {
         let mut doomed = Client::connect(handle.addr()).unwrap();
         doomed.execute("BEGIN").unwrap();
@@ -310,7 +310,7 @@ fn connection_drop_mid_txn_auto_aborts() {
     }
     // The connection thread runs detached; poll until it aborts.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while db.txn_stats().aborted == aborted_before {
+    while db.metrics_snapshot().txn.aborted == aborted_before {
         assert!(std::time::Instant::now() < deadline, "auto-abort never happened");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
